@@ -69,16 +69,18 @@ class _AtomIndex:
     unifiability is symmetric, so one implementation serves both.
 
     Removal is handled by *tombstoning*: entries of dropped queries stay
-    in the buckets and are filtered out by the caller's liveness check;
-    the owning :class:`_GraphCore` rebuilds the index once dead entries
-    outnumber live ones, keeping the amortized cost O(1) per entry.
+    in the buckets and are filtered out by the caller's liveness check
+    (each entry carries its query's admission token, see
+    :meth:`_GraphCore.is_current_atom`); the owning :class:`_GraphCore`
+    rebuilds the index once dead entries outnumber live ones, keeping
+    the amortized cost O(1) per entry.
     """
 
     __slots__ = ("_buckets", "live", "dead")
 
     def __init__(self) -> None:
         # (relation, arity) -> {
-        #   "all": [(query, atom_index, atom)],
+        #   "all": [(query, atom_index, atom, token)],
         #   "by_pos": [ {const_value: [entry]} per position ],
         #   "var_at": [ [entry] per position ],
         # }
@@ -86,7 +88,7 @@ class _AtomIndex:
         self.live = 0
         self.dead = 0
 
-    def add(self, query: str, atom_index: int, atom: Atom) -> None:
+    def add(self, query: str, atom_index: int, atom: Atom, token: int) -> None:
         key = (atom.relation, atom.arity)
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -96,7 +98,7 @@ class _AtomIndex:
                 "var_at": [[] for _ in range(atom.arity)],
             }
             self._buckets[key] = bucket
-        entry = (query, atom_index, atom)
+        entry = (query, atom_index, atom, token)
         bucket["all"].append(entry)
         for position, term in enumerate(atom.terms):
             if isinstance(term, Constant):
@@ -198,9 +200,10 @@ class _GraphCore:
 
     Holds the authoritative dictionaries, the append-only edge list,
     the collapsed digraph, both atom indexes, per-node incident-edge
-    adjacency, and the per-postcondition head-match counts.  ``version``
-    increments on every mutation; a :class:`CoordinationGraph` whose
-    version matches is the *tip* and reads the core directly.
+    adjacency, the per-postcondition head-match counts, and each
+    query's admission token.  ``version`` increments on every mutation;
+    a :class:`CoordinationGraph` whose version matches is the *tip* and
+    reads the core directly.
     """
 
     __slots__ = (
@@ -216,6 +219,7 @@ class _GraphCore:
         "fanout",
         "head_index",
         "post_index",
+        "tokens",
         "version",
         "attached",
     )
@@ -243,6 +247,10 @@ class _GraphCore:
         # dominate (cheaper than compacting eagerly).
         self.head_index: Optional[_AtomIndex] = None
         self.post_index: Optional[_AtomIndex] = None
+        # name -> admission token: the core version at which the query
+        # was admitted (0 for queries a core was built with).  Index
+        # entries carry the token they were added under.
+        self.tokens: Dict[str, int] = {}
         self.version = 0
         self.attached: "weakref.WeakSet[CoordinationGraph]" = weakref.WeakSet()
 
@@ -259,6 +267,7 @@ class _GraphCore:
         core.queries = queries
         core.standardized = standardized
         core.digraph.add_nodes(queries.keys())
+        core.tokens = dict.fromkeys(queries, 0)
         for name in standardized:
             core.out_edges[name] = []
             core.in_edges[name] = []
@@ -273,10 +282,11 @@ class _GraphCore:
         head_index = _AtomIndex()
         post_index = _AtomIndex()
         for name, std in self.standardized.items():
+            token = self.tokens[name]
             for hi, head in enumerate(std.head):
-                head_index.add(name, hi, head)
+                head_index.add(name, hi, head, token)
             for pi, post in enumerate(std.postconditions):
-                post_index.add(name, pi, post)
+                post_index.add(name, pi, post, token)
         self.head_index = head_index
         self.post_index = post_index
 
@@ -290,20 +300,16 @@ class _GraphCore:
         self.fanout[key] = self.fanout.get(key, 0) + 1
         self.digraph.add_edge(edge.source, edge.target)
 
-    def is_current_atom(self, entry: tuple, heads: bool) -> bool:
-        """Liveness check for a (query, atom_index, atom) index entry.
+    def is_current_atom(self, entry: tuple) -> bool:
+        """Liveness check for a (query, atom_index, atom, token) entry.
 
-        Guards against both dropped queries and name reuse (a query may
-        leave the system and an unrelated query with the same name may
-        arrive later): the entry is live only if the indexed atom *is*
-        (identity) the query's current atom.
+        Guards against dropped queries and re-admission under the same
+        name — an unrelated query, or the *same* query object again,
+        whose memoized standardized atoms are the very objects its
+        stale entries still hold: the entry is live only if it was added
+        under the query's current admission token.
         """
-        name, atom_index, atom = entry
-        std = self.standardized.get(name)
-        if std is None:
-            return False
-        atoms = std.head if heads else std.postconditions
-        return atom_index < len(atoms) and atoms[atom_index] is atom
+        return self.tokens.get(entry[0]) == entry[3]
 
     def compact_indexes_if_needed(self) -> None:
         if self.head_index is None:
@@ -390,8 +396,8 @@ class CoordinationGraph:
         # plus (optionally) its own heads — which are not yet indexed.
         for pi, post in enumerate(std.postconditions):
             for entry in core.head_index.candidates(post):
-                target_name, hi, head = entry
-                if not core.is_current_atom(entry, heads=True):
+                target_name, hi, head, _ = entry
+                if not core.is_current_atom(entry):
                     continue
                 if unifiable(post, head):
                     new_edges.append(ExtendedEdge(query.name, pi, target_name, hi))
@@ -403,8 +409,8 @@ class CoordinationGraph:
         # Existing postconditions against the newcomer's heads.
         for hi, head in enumerate(std.head):
             for entry in core.post_index.candidates(head):
-                source_name, pi, post = entry
-                if not core.is_current_atom(entry, heads=False):
+                source_name, pi, post, _ = entry
+                if not core.is_current_atom(entry):
                     continue
                 if unifiable(post, head):
                     new_edges.append(ExtendedEdge(source_name, pi, query.name, hi))
@@ -438,19 +444,21 @@ class CoordinationGraph:
             probe = self.probe(probe.query)
             core = self._core
         name = probe.query.name
+        core.version += 1
+        token = core.version
         core.queries[name] = probe.query
         core.standardized[name] = probe.standardized
+        core.tokens[name] = token
         core.digraph.add_node(name)
         core.out_edges.setdefault(name, [])
         core.in_edges.setdefault(name, [])
         if core.head_index is not None:
             for hi, head in enumerate(probe.standardized.head):
-                core.head_index.add(name, hi, head)
+                core.head_index.add(name, hi, head, token)
             for pi, post in enumerate(probe.standardized.postconditions):
-                core.post_index.add(name, pi, post)
+                core.post_index.add(name, pi, post, token)
         for edge in probe.new_edges:
             core._append_edge(edge)
-        core.version += 1
         return CoordinationGraph(core, core.version)
 
     def with_query(self, query: EntangledQuery) -> "CoordinationGraph":
@@ -508,6 +516,7 @@ class CoordinationGraph:
             core.digraph.remove_node(name)
             del core.queries[name]
             del core.standardized[name]
+            del core.tokens[name]
         core.compact_edges_if_needed()
         core.compact_indexes_if_needed()
         core.version += 1
@@ -647,10 +656,11 @@ class CoordinationGraph:
         """The coordination graph induced on a subset of queries.
 
         Uses the per-node incident-edge adjacency, so the cost is
-        O(kept queries + their incident edges) — for the engine's
-        per-arrival call on one weakly connected component that is
-        O(component), independent of the total pending-set size.
-        Unknown names are ignored.  The result owns an independent core.
+        O(kept queries + their incident edges), independent of the
+        total pending-set size — the engine calls it once per
+        evaluation on the :meth:`survivors` of one weakly connected
+        component.  Unknown names are ignored.  The result owns an
+        independent core.
         """
         core = self._view()
         keep = [n for n in dict.fromkeys(names) if n in core.queries]
@@ -665,6 +675,62 @@ class CoordinationGraph:
         ]
         sub = _GraphCore.from_parts(queries, standardized, edges)
         return CoordinationGraph(sub, sub.version)
+
+    def survivors(
+        self, names: Iterable[str]
+    ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The preprocessing fixpoint on the subgraph induced by ``names``.
+
+        Iteratively drops every query with a postcondition that no head
+        of the remaining queries unifies with (the preprocessing of the
+        paper's Section 6.1): dropping a query removes its heads, which
+        may orphan other postconditions.  Returns ``(alive, removed)``:
+        the survivors in the order of ``names`` and the dropped queries
+        in removal order.  Reads the incident adjacency in place, so it
+        costs O(kept queries + their incident edges) and copies nothing
+        — the online engine runs it on its live graph and snapshots only
+        the survivors.  Unknown names are ignored.
+        """
+        core = self._view()
+        keep = [n for n in dict.fromkeys(names) if n in core.queries]
+        alive = set(keep)
+        standardized = core.standardized
+        out_by_post = core.out_by_post
+        # Per postcondition, the heads it can use inside the subgraph.
+        matches: Dict[Tuple[str, int], int] = {}
+        worklist: List[str] = []
+        for name in keep:
+            stuck = False
+            for pi in range(len(standardized[name].postconditions)):
+                count = 0
+                for edge in out_by_post.get((name, pi), ()):
+                    if edge.target in alive:
+                        count += 1
+                matches[(name, pi)] = count
+                if not count:
+                    stuck = True
+            if stuck:
+                worklist.append(name)
+
+        removed: List[str] = []
+        in_edges = core.in_edges
+        while worklist:
+            name = worklist.pop()
+            if name not in alive:
+                continue
+            alive.discard(name)
+            removed.append(name)
+            for edge in in_edges[name]:
+                source = edge.source
+                if source not in alive:
+                    continue
+                key = (source, edge.post_index)
+                matches[key] -= 1
+                if not matches[key]:
+                    worklist.append(source)
+        if not removed:
+            return tuple(keep), ()
+        return tuple(n for n in keep if n in alive), tuple(removed)
 
     def safety_violations(self) -> Tuple[Tuple[str, int, int], ...]:
         """Postconditions with more than one matching head, from the

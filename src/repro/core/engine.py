@@ -42,6 +42,18 @@ pending-set size:
 * the newcomer's weak component comes from a
   :class:`~repro.graphs.UnionFind` over pending queries (amortized
   O(α) per new edge) instead of a BFS over the whole graph;
+* the evaluation's plan phase runs the preprocessing fixpoint (drop
+  every query with a postcondition no remaining head satisfies) on the
+  *live* graph via
+  :meth:`~repro.core.coordination_graph.CoordinationGraph.survivors` —
+  O(component + its edges), reading the incident adjacency in place —
+  and snapshots only the survivors; on a stream where most components
+  wait for partners that snapshot is usually empty, so the copy and the
+  SCC pass cost O(survivors), not O(component);
+* each query is standardized once
+  (:meth:`~repro.core.query.EntangledQuery.standardized` is memoized),
+  and the graph's atom indexes tell live entries from stale ones by a
+  per-admission token, so re-admitting the same query object is safe;
 * per-SCC evaluation states (substitution + grounding) are memoized
   *across arrivals*, keyed by component membership and per-relation
   database version stamps (:meth:`~repro.db.Database.data_versions`),
@@ -71,7 +83,7 @@ from typing import (
 )
 
 from ..concurrency import OwnedLock
-from ..db import Database, EvaluationReader
+from ..db import CoordinationStats, Database, EvaluationReader
 from ..errors import ConcurrencyError, PreconditionError
 from ..graphs import UnionFind
 from .coordination_graph import CoordinationGraph
@@ -107,7 +119,9 @@ class _StateCache(dict):
     — see :meth:`keys_touching_relations`.  An entry whose queries
     cannot be resolved (not pending at insertion time, which no current
     caller produces) is indexed as a *wildcard* and evicted on any
-    write, keeping the fallback conservative.
+    write, keeping the fallback conservative.  The cache holds the pool
+    dict itself, not the engine, so the two form no reference cycle and
+    a dropped engine is freed without the cycle collector.
 
     The SCC algorithm populates the cache through plain ``dict``
     operations, all of which are intercepted here.
@@ -125,11 +139,9 @@ class _StateCache(dict):
     shared index structures.
     """
 
-    def __init__(
-        self, relations_of: Callable[[str], Optional[FrozenSet[str]]]
-    ) -> None:
+    def __init__(self, pending: Dict[str, EntangledQuery]) -> None:
         super().__init__()
-        self._relations_of = relations_of
+        self._pending = pending
         self._mutex = threading.Lock()
         self._by_name: Dict[str, Set[frozenset]] = {}
         self._by_relation: Dict[str, Set[frozenset]] = {}
@@ -179,12 +191,12 @@ class _StateCache(dict):
         relations: Optional[Set[str]] = None if domain_dependent else set()
         for name in value[0]:
             self._by_name.setdefault(name, set()).add(key)
-            body = self._relations_of(name) if relations is not None else None
             if relations is not None:
-                if body is None:
+                query = self._pending.get(name)
+                if query is None:
                     relations = None
                 else:
-                    relations.update(body)
+                    relations.update(query.body_relations())
         if relations is None:
             self._key_relations[key] = None
             self._wildcard.add(key)
@@ -230,13 +242,23 @@ class _StateCache(dict):
 @dataclass(frozen=True)
 class _EvaluationPlan:
     """Snapshot handed from an evaluation's locked plan phase to its
-    unlocked run phase: the component members, the independently-cored
-    induced subgraph, the stamp-checked state cache, and the database
-    view acquired from the storage backend (the shared store, or a
-    freshly synced per-shard replica)."""
+    unlocked run phase.
+
+    ``component`` is the whole weak component (outcomes, retirement and
+    the freeze rule are about it); ``survivors`` is the independently
+    cored subgraph induced on the members the preprocessing fixpoint
+    kept — usually few or none, because the plan phase already ran the
+    fixpoint on the live graph.  ``edges`` (collapsed edges of the whole
+    component) and ``removed`` (queries the fixpoint dropped) complete
+    the counters the run reports.  ``cache`` is the stamp-checked state
+    cache and ``db`` the database view acquired from the storage
+    backend (the shared store, or a freshly synced per-shard replica).
+    """
 
     component: Tuple[str, ...]
-    restricted: "CoordinationGraph"
+    survivors: "CoordinationGraph"
+    edges: int
+    removed: int
     cache: Optional[ComponentCache]
     db: Database
 
@@ -328,7 +350,7 @@ class CoordinationEngine:
         self._graph: CoordinationGraph = CoordinationGraph.build([])
         self._components = UnionFind()
         self._component_states: Optional[_StateCache] = (
-            _StateCache(self._body_relations_of) if reuse_component_states else None
+            _StateCache(self._pending) if reuse_component_states else None
         )
         self._db_stamp = db.data_version()
         self._db_stamps = db.data_versions()
@@ -608,13 +630,17 @@ class CoordinationEngine:
         :attr:`lock` itself, in two short critical sections around the
         expensive middle:
 
-        1. **plan** (locked): group handles by weak component, snapshot
-           each component's induced subgraph
+        1. **plan** (locked): group handles by weak component, run the
+           preprocessing fixpoint on the live graph
+           (:meth:`~repro.core.coordination_graph.CoordinationGraph.survivors`,
+           O(component), nothing copied), snapshot only the survivors'
+           induced subgraph
            (:meth:`~repro.core.coordination_graph.CoordinationGraph.restricted_to`
            returns an independent core) and stamp-check the state cache;
-        2. **run** (unlocked): the SCC algorithm over the snapshots —
-           database reads go through the database's reader–writer lock,
-           cache writes through the cache's internal mutex;
+        2. **run** (unlocked): the SCC algorithm over the survivors'
+           snapshots, without preprocessing them again — database reads
+           go through the database's reader–writer lock, cache writes
+           through the cache's internal mutex;
         3. **commit** (locked): record outcomes and retire chosen sets.
 
         Byte-identical to :meth:`evaluate_admitted` *provided* the
@@ -714,11 +740,17 @@ class CoordinationEngine:
     def _evaluation_plan(self, name: str) -> "_EvaluationPlan":
         """Control-plane half of one component evaluation (own the lock).
 
-        Snapshots everything the unlocked run needs: the component's
-        member list, its induced subgraph (an independent core — later
-        mutations of the live graph cannot reach it), and the
-        stamp-checked state cache."""
+        Runs the preprocessing fixpoint on the live graph, then
+        snapshots everything the unlocked run needs: the component's
+        member list, the survivors' induced subgraph (an independent
+        core — later mutations of the live graph cannot reach it), the
+        component's counters, and the stamp-checked state cache."""
         component = tuple(sorted(self._components.members(name)))
+        alive, removed = self._graph.survivors(component)
+        # A weak component is closed under edges, so its collapsed edge
+        # count is its members' out-degree sum in the live graph.
+        digraph = self._graph.graph
+        edges = sum(digraph.out_degree(member) for member in component)
         # Acquire the evaluation view first, then stamp-check the cache
         # against *it*: the stamps then describe exactly the data the
         # run phase will read (for a replica this is also lock-free —
@@ -728,7 +760,9 @@ class CoordinationEngine:
         db = self._evaluation_db()
         return _EvaluationPlan(
             component,
-            self._graph.restricted_to(component),
+            self._graph.restricted_to(alive),
+            edges,
+            len(removed),
             self._component_cache(db),
             db,
         )
@@ -751,13 +785,22 @@ class CoordinationEngine:
         Touches no engine structure, so the concurrent executor runs it
         outside :attr:`lock`; database access synchronizes through the
         plan database's own reader–writer lock (a no-op for a private
-        replica) and cache writes through the cache's mutex."""
+        replica) and cache writes through the cache's mutex.  The plan
+        phase already preprocessed, so the run starts at the SCC pass
+        and reports the whole component's counters."""
+        stats = CoordinationStats(
+            graph_nodes=len(plan.component),
+            graph_edges=plan.edges,
+            preprocessing_removed=plan.removed,
+        )
         return scc_coordinate_on_graph(
             plan.db,
-            plan.restricted,
+            plan.survivors,
             choose=self.choose,
+            run_preprocessing=False,
             reuse_groundings=self.reuse_groundings,
             component_cache=plan.cache,
+            stats=stats,
         )
 
     def _commit_evaluation(
@@ -839,12 +882,6 @@ class CoordinationEngine:
             record_final_state(self._final_states, handle.query, state)
         for callback in self._resolution_callbacks:
             callback(handle)
-
-    def _body_relations_of(self, name: str) -> Optional[FrozenSet[str]]:
-        """Body relations of a pending query (``None`` when unknown —
-        the state cache then treats the entry as touching everything)."""
-        query = self._pending.get(name)
-        return None if query is None else query.body_relations()
 
     def _component_cache(self, db: Database) -> Optional[ComponentCache]:
         """The cross-arrival component cache, stamped against ``db`` —

@@ -112,9 +112,20 @@ class EntangledQuery:
 
         Defaults to the query's own name, which is unique within a set,
         so standardising every query of a set this way guarantees
-        pairwise-disjoint variables.
+        pairwise-disjoint variables.  The copy in the query's own
+        namespace is memoized — the coordination layers ask for it on
+        every probe, evaluation and assignment — so repeated calls
+        return the same object.
         """
-        namespace = self.name if namespace is None else namespace
+        if namespace is None or namespace == self.name:
+            own = self.__dict__.get("_standardized")
+            if own is None:
+                own = self._renamed(self.name)
+                object.__setattr__(self, "_standardized", own)
+            return own
+        return self._renamed(namespace)
+
+    def _renamed(self, namespace: str) -> "EntangledQuery":
         return EntangledQuery(
             self.name,
             tuple(a.rename(namespace) for a in self.postconditions),

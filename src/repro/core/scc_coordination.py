@@ -31,7 +31,7 @@ asserted by tests via :class:`~repro.db.CoordinationStats`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..db import ConjunctiveQuery, CoordinationStats, Database
 from ..errors import PreconditionError
@@ -89,41 +89,14 @@ def preprocess(graph: CoordinationGraph) -> PreprocessResult:
     A postcondition atom is unsatisfiable when no head atom of the
     *remaining* set unifies with it.  Removal cascades: dropping a query
     removes its heads, which may orphan other queries' postconditions.
+    The fixpoint is :meth:`CoordinationGraph.survivors`; the result's
+    graph is ``graph`` itself when nothing was removed, else the
+    survivors' induced subgraph.
     """
-    alive: Set[str] = set(graph.queries)
-    # Count, per postcondition, how many live heads it can use.
-    edge_count: Dict[Tuple[str, int], int] = {}
-    incoming: Dict[str, List[Tuple[str, int]]] = {name: [] for name in alive}
-    for edge in graph.extended_edges:
-        edge_count[(edge.source, edge.post_index)] = (
-            edge_count.get((edge.source, edge.post_index), 0) + 1
-        )
-        incoming[edge.target].append((edge.source, edge.post_index))
-
-    worklist: List[str] = []
-    for name, query in graph.queries.items():
-        for pi in range(len(query.postconditions)):
-            if edge_count.get((name, pi), 0) == 0:
-                worklist.append(name)
-                break
-
-    removed: List[str] = []
-    while worklist:
-        name = worklist.pop()
-        if name not in alive:
-            continue
-        alive.discard(name)
-        removed.append(name)
-        for source, post_index in incoming[name]:
-            if source not in alive:
-                continue
-            edge_count[(source, post_index)] -= 1
-            if edge_count[(source, post_index)] == 0:
-                worklist.append(source)
-
+    alive, removed = graph.survivors(graph.names())
     if not removed:
         return PreprocessResult(graph, ())
-    return PreprocessResult(graph.restricted_to(alive), tuple(removed))
+    return PreprocessResult(graph.restricted_to(alive), removed)
 
 
 @dataclass
@@ -235,11 +208,20 @@ def scc_coordinate_on_graph(
     trace: Optional[Trace] = None,
     reuse_groundings: bool = False,
     component_cache: Optional[ComponentCache] = None,
+    stats: Optional[CoordinationStats] = None,
 ) -> CoordinationResult:
     """The algorithm proper, on an already-built coordination graph.
 
     Split out so the benchmark for Figure 6 can time graph construction
     and preprocessing separately from evaluation.
+
+    ``stats`` (optional) are counters to continue instead of fresh ones
+    sized from ``graph``.  A caller that preprocessed a larger graph
+    itself — the online engine runs the fixpoint on its live graph and
+    passes only the survivors' snapshot — hands in that graph's
+    ``graph_nodes``, ``graph_edges`` and ``preprocessing_removed`` with
+    ``run_preprocessing=False``, so the result reports the same counters
+    as a run on the larger graph.
 
     ``component_cache`` (optional) memoizes per-SCC states *across*
     calls: a component whose members and reachable closure are unchanged
@@ -250,14 +232,15 @@ def scc_coordinate_on_graph(
     closure intersects a satisfied (deleted) coordinating set.  Results
     are identical to an uncached run on the same graph and database.
     """
-    stats = CoordinationStats(
-        graph_nodes=graph.graph.node_count(),
-        graph_edges=graph.graph.edge_count(),
-    )
+    if stats is None:
+        stats = CoordinationStats(
+            graph_nodes=graph.graph.node_count(),
+            graph_edges=graph.graph.edge_count(),
+        )
     if run_preprocessing:
         pre = preprocess(graph)
         graph = pre.graph
-        stats.preprocessing_removed = len(pre.removed)
+        stats.preprocessing_removed += len(pre.removed)
         if trace is not None:
             trace.add(PreprocessingRemoved(pre.removed))
     if not graph.queries:

@@ -137,6 +137,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -171,6 +172,19 @@ from .lifecycle import (
 from .query import EntangledQuery
 from .result import CoordinationResult
 from .scc_coordination import SelectionCriterion, largest_candidate
+
+
+def _weak_callback(method: Any) -> Any:
+    """A callable forwarding to the bound ``method`` while its object
+    lives, without keeping that object alive."""
+    target = weakref.WeakMethod(method)
+
+    def forward(*args: Any) -> Any:
+        bound = target()
+        return None if bound is None else bound(*args)
+
+    return forward
+
 
 #: One linearized operation of the service's optional journal.
 JournalEntry = Tuple[Any, ...]
@@ -566,10 +580,14 @@ class ShardedCoordinationService:
                 ShardWorker(index, mailbox_capacity) for index in range(shards)
             ]
             self._dispatcher = CallbackDispatcher()
+        # The engines hold the service only weakly: a bound method would
+        # close a reference cycle, and a closed service would then wait
+        # for the cycle collector instead of being freed when dropped.
+        on_resolved = _weak_callback(self._on_shard_resolved)
         for engine in self._engines:
-            engine.on_resolved(self._on_shard_resolved)
+            engine.on_resolved(on_resolved)
             if self._failover:
-                engine.on_death = self._handle_shard_death
+                engine.on_death = _weak_callback(self._handle_shard_death)
         #: The durable store when the service persists itself
         #: (``None`` in-memory).  See the ``durability`` parameter.
         self.durable: Optional[DurableStore] = None

@@ -11,7 +11,9 @@ migration on spanning arrivals, deterministic default placement) are
 asserted separately.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -229,6 +231,43 @@ def test_submit_many_survives_cross_shard_migration_of_batch_member():
     assert service.migrations >= 1
     assert set(service.pending()) == set(engine.pending())
     _assert_invariants(service)
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["serial", "threads"])
+def test_closed_service_is_freed_without_the_cycle_collector(workers):
+    """Nothing the service owns points back at it: once closed and
+    dropped, reference counting alone frees the service, its engines
+    and its database (the collector may be off, or run rarely)."""
+    from repro.core import ServiceConfig
+
+    def run():
+        db = members_database(size=DB_SIZE, seed=2012)
+        service = ShardedCoordinationService(
+            db, ServiceConfig(shards=2, workers=workers)
+        )
+        for event in _partner_stream(random.Random(7), 40):
+            try:
+                if event[0] == "retract":
+                    pending = sorted(service.pending())
+                    if pending:
+                        service.retract(pending[event[1] % len(pending)])
+                else:
+                    service.submit(event[1])
+            except PreconditionError:
+                pass
+        service.flush_drain()
+        service.close()
+        return [weakref.ref(obj) for obj in (service, db, *service._engines)]
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        refs = run()
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

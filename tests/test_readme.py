@@ -5,6 +5,7 @@ stale quickstart is a bug.
 """
 
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,10 @@ def test_readme_exists_and_has_examples():
 @pytest.mark.parametrize("index", range(len(_python_blocks())))
 def test_readme_block_executes(index):
     block = _python_blocks()[index]
-    exec(compile(block, f"README.md[block {index}]", "exec"), {})
+    # A quickstart must not teach a deprecated call.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        exec(compile(block, f"README.md[block {index}]", "exec"), {})
 
 
 def test_readme_mentions_all_figures():
