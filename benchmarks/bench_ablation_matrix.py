@@ -1,8 +1,7 @@
 """The ablation matrix: every feature toggle × every catalog scenario.
 
-Nine PRs of optimizations — plan cache, composite indexes, component
-cache, replicated backend, worker executors, control lane, cost-based
-placement — each earned its complexity on the workload it was built
+Each optimization — plan cache, composite indexes, component cache,
+worker executors — earned its complexity on the workload it was built
 for.  This harness makes each keep proving it: one
 :class:`~repro.core.ServiceConfig` variant per toggled feature, run
 against every scenario in the catalog (:mod:`repro.scenarios`), with
@@ -73,10 +72,7 @@ VARIANTS: Tuple[Tuple[str, Dict], ...] = (
     ("no-plan-cache", {"plan_cache": False}),
     ("no-composite-indexes", {"composite_indexes": False}),
     ("no-component-cache", {"reuse_component_states": False}),
-    ("replicated-backend", {"backend": "replicated"}),
-    ("pending-placement", {"placement": "pending"}),
     ("thread-workers", {"workers": WORKERS}),
-    ("no-control-lane", {"workers": WORKERS, "control_lane": False}),
     ("process-executor", {"workers": WORKERS, "executor": "process"}),
 )
 

@@ -33,15 +33,6 @@ pending-set size (100/300/1000):
   evaluation only on multi-core/free-threaded builds.  The
   ``workers_speedup`` figure is serial accept µs / workers accept µs.
 
-* **replicated arrivals** — the same worker burst against the
-  *replicated* storage backend (``backend="replicated"``): each shard
-  evaluates on a private lock-free database replica lazily synced by
-  per-relation version stamps, so the evaluation phase never touches
-  the shared reader–writer lock.  On a GIL build this mostly measures
-  the sync overhead being amortized away (the backends are
-  byte-identical in outcomes); on free-threaded builds it is the
-  configuration whose data plane scales with cores.
-
 * **process arrivals** — the same burst with ``executor="process"``:
   each shard's engine lives in a worker *process* owning a wire-synced
   replica (``repro.core.procexec``), so evaluations run on separate
@@ -74,8 +65,8 @@ stays untouched by fabric-less runs.
 
 Results are emitted as ``BENCH_engine_service.json`` (series keys
 ``retract``, ``single submit``, ``sharded submit``, ``serial
-arrivals``, ``workers arrivals``, ``replicated arrivals``, ``process
-arrivals``, ``durable arrivals``, ``durable fsync arrivals`` —
+arrivals``, ``workers arrivals``, ``process arrivals``, ``durable
+arrivals``, ``durable fsync arrivals`` —
 asserted by the CI smoke step).
 
 Usage::
@@ -265,7 +256,6 @@ def measure_arrivals(
     sizes,
     arrivals: int,
     repeats: int,
-    backend: str = "shared",
     executor: str = "thread",
     fsync: Optional[str] = None,
 ) -> Series:
@@ -294,8 +284,8 @@ def measure_arrivals(
     sys.setswitchinterval(0.0005)
     try:
         _measure_arrival_points(
-            series, workers, threaded, sizes, arrivals, repeats, backend,
-            executor, fsync,
+            series, workers, threaded, sizes, arrivals, repeats, executor,
+            fsync,
         )
     finally:
         sys.setswitchinterval(previous_interval)
@@ -309,7 +299,6 @@ def _measure_arrival_points(
     sizes,
     arrivals: int,
     repeats: int,
-    backend: str,
     executor: str,
     fsync: Optional[str] = None,
 ) -> None:
@@ -341,7 +330,6 @@ def _measure_arrival_points(
                     ServiceConfig(
                         workers=workers,
                         mailbox_capacity=arrivals + 8,
-                        backend=backend,
                         executor=executor,
                         durability=durability,
                     ),
@@ -349,9 +337,7 @@ def _measure_arrival_points(
             else:
                 service = ShardedCoordinationService(
                     db,
-                    ServiceConfig(
-                        shards=workers, backend=backend, durability=durability
-                    ),
+                    ServiceConfig(shards=workers, durability=durability),
                 )
             _prefill(service, size)
             submit = service.submit_nowait if threaded else service.submit
@@ -563,15 +549,6 @@ def main(argv: List[str]) -> int:
     workers_arrivals = measure_arrivals(
         "workers arrivals", args.workers, True, arrival_sizes, arrivals, repeats
     )
-    replicated_arrivals = measure_arrivals(
-        "replicated arrivals",
-        args.workers,
-        True,
-        arrival_sizes,
-        arrivals,
-        repeats,
-        backend="replicated",
-    )
     process_arrivals = measure_arrivals(
         "process arrivals",
         args.workers,
@@ -611,13 +588,6 @@ def main(argv: List[str]) -> int:
     print()
     print(
         render_series(
-            replicated_arrivals,
-            f"Concurrent executor ({args.workers} workers, replicated backend)",
-        )
-    )
-    print()
-    print(
-        render_series(
             process_arrivals,
             f"Process executor ({args.workers} worker processes, wire-synced replicas)",
         )
@@ -637,17 +607,12 @@ def main(argv: List[str]) -> int:
     sharded_us = _per_op_us(sharded, 2 * pairs)
     serial_arrival_us = _per_op_us(serial_arrivals, arrivals)
     workers_arrival_us = _per_op_us(workers_arrivals, arrivals)
-    replicated_arrival_us = _per_op_us(replicated_arrivals, arrivals)
     process_arrival_us = _per_op_us(process_arrivals, arrivals)
     durable_arrival_us = _per_op_us(durable_arrivals, arrivals)
     durable_fsync_us = _per_op_us(durable_fsync_arrivals, arrivals)
     overhead = {size: sharded_us[size] / single_us[size] for size in single_us}
     speedup = {
         size: serial_arrival_us[size] / workers_arrival_us[size]
-        for size in serial_arrival_us
-    }
-    replicated_speedup = {
-        size: serial_arrival_us[size] / replicated_arrival_us[size]
         for size in serial_arrival_us
     }
     process_speedup = {
@@ -677,13 +642,6 @@ def main(argv: List[str]) -> int:
             f"{speedup[size]:.2f}× arrival throughput at "
             f"{args.workers} workers)"
         )
-    for size in sorted(replicated_arrival_us):
-        print(
-            f"pending={size:5d}: replicated-backend accept "
-            f"{replicated_arrival_us[size]:8.1f} µs/arrival "
-            f"({replicated_speedup[size]:.2f}× vs serial; shared-backend "
-            f"workers {workers_arrival_us[size]:8.1f})"
-        )
     for size in sorted(process_arrival_us):
         print(
             f"pending={size:5d}: process-executor accept "
@@ -708,7 +666,6 @@ def main(argv: List[str]) -> int:
         for series in (
             serial_arrivals,
             workers_arrivals,
-            replicated_arrivals,
             process_arrivals,
             durable_arrivals,
             durable_fsync_arrivals,
@@ -745,7 +702,6 @@ def main(argv: List[str]) -> int:
                 (sharded, sharded_us),
                 (serial_arrivals, serial_arrival_us),
                 (workers_arrivals, workers_arrival_us),
-                (replicated_arrivals, replicated_arrival_us),
                 (process_arrivals, process_arrival_us),
                 (durable_arrivals, durable_arrival_us),
                 (durable_fsync_arrivals, durable_fsync_us),
@@ -753,9 +709,6 @@ def main(argv: List[str]) -> int:
         },
         "sharded_overhead": {str(size): overhead[size] for size in overhead},
         "workers_speedup": {str(size): speedup[size] for size in speedup},
-        "replicated_speedup": {
-            str(size): replicated_speedup[size] for size in replicated_speedup
-        },
         "process_speedup": {
             str(size): process_speedup[size] for size in process_speedup
         },

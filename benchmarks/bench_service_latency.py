@@ -29,7 +29,7 @@ traffic** against a 4-worker process-executor service:
   the mailbox backlog like any other.
 
 Two configurations differ in exactly one bit —
-``ShardedCoordinationService(..., control_lane=...)`` — and emit
+``ServiceConfig(control_lane=...)`` — and emit
 paired series (``admission blocking`` vs ``admission control-lane``,
 ``resolution blocking`` vs ``resolution control-lane``) with p50/p99
 microsecond percentiles per point.  ``--check`` enforces the PR's
@@ -61,7 +61,7 @@ from typing import Dict, List
 
 from repro.bench import Point, Series
 from repro.bench.reporting import render_series
-from repro.core import EntangledQuery, ShardedCoordinationService
+from repro.core import EntangledQuery, ServiceConfig, ShardedCoordinationService
 from repro.logic import Atom, Variable
 from repro.networks import member_name
 from repro.workloads import members_database, partner_query
@@ -161,10 +161,12 @@ def _run_traffic(
     pair_every = max(1, ops // max(1, pairs))
     service = ShardedCoordinationService(
         db,
-        workers=WORKERS,
-        executor="process",
-        mailbox_capacity=pending + ops + bursts * burst + 16,
-        control_lane=control_lane,
+        ServiceConfig(
+            workers=WORKERS,
+            executor="process",
+            mailbox_capacity=pending + ops + bursts * burst + 16,
+            control_lane=control_lane,
+        ),
     )
     try:
         # Pre-fill: the pending pool (retract targets; idle components)

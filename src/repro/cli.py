@@ -12,7 +12,7 @@ Subcommands:
   engine counters: queries issued, index probes, plan-cache hits and
   misses, composite indexes built);
 * ``online DB.json STREAM.ops [--shards N] [--workers N]
-  [--backend {shared,replicated}] [--executor {thread,process,remote}]
+  [--executor {thread,process,remote}]
   [--remote-shard HOST:PORT ...] [--durable-dir DIR]
   [--fsync {always,never}] [--snapshot-store {file,sqlite}]
   [--stats]`` —
@@ -24,12 +24,10 @@ Subcommands:
   ``#`` comments).
   ``--workers N`` runs N shards on worker threads behind the
   concurrent executor; the replay stays deterministic because each
-  line drains before the next is reported.  ``--backend replicated``
-  evaluates each shard against a private lock-free database replica
-  with versioned invalidation (identical output, no cross-shard
-  locking during evaluation).  ``--executor process`` hosts each shard
-  in a worker *process* with its replica synced over a framed pipe
-  protocol — identical output, true multi-core evaluation.
+  line drains before the next is reported.  ``--executor process``
+  hosts each shard in a worker *process* with its replica synced over
+  a framed pipe protocol — identical output, true multi-core
+  evaluation.
   ``--executor remote`` places each shard on an already-running shard
   host (one ``--remote-shard HOST:PORT`` per shard, see
   ``shard-host`` below); a host that dies mid-run fails over: its
@@ -37,7 +35,7 @@ Subcommands:
 * ``scenario [NAME] [--list] [--scale N] [--seed S] [--out PREFIX]``
   — the scenario catalog (:mod:`repro.scenarios`): list the named
   workloads, run one in-process through the sharded service (with the
-  same ``--shards/--workers/--backend/--executor`` knobs as ``online``
+  same ``--shards/--workers/--executor`` knobs as ``online``
   plus the ablation toggles ``--no-plan-cache`` and
   ``--no-composite-indexes``), or export it with ``--out`` as a
   database JSON + operations stream replayable by ``online``;
@@ -103,7 +101,7 @@ def _print_engine_stats(db) -> None:
     """The ``--stats`` report: the database engine's counters.
 
     Counters accrue on the instance that evaluated — for ``online``
-    runs on replicated/process backends the evaluation happens on
+    runs on the process or remote executor the evaluation happens on
     per-shard replicas, so the authoritative store reports admission
     and insert traffic while replicas keep their own tallies.
     """
@@ -242,7 +240,6 @@ def _cmd_online(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         shards=len(remote_shards) if remote_shards else args.shards,
         workers=workers,
-        backend=args.backend,
         executor=args.executor,
         durability=durability,
         remote_shards=remote_shards,
@@ -590,7 +587,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         shards=args.shards,
         workers=args.workers,
-        backend=args.backend,
         executor=args.executor,
         plan_cache=False if args.no_plan_cache else None,
         composite_indexes=False if args.no_composite_indexes else None,
@@ -703,14 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         "overrides --shards)",
     )
     online.add_argument(
-        "--backend",
-        choices=["shared", "replicated"],
-        default="shared",
-        help="storage backend: one locked shared store, or per-shard "
-        "lock-free replicas with versioned invalidation (default: shared; "
-        "thread executor only — process shards always use replicas)",
-    )
-    online.add_argument(
         "--executor",
         choices=["thread", "process", "remote"],
         default="thread",
@@ -730,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print the authoritative store's engine counters after the "
-        "replay (replicated/process evaluation tallies on the replicas)",
+        "replay (process/remote evaluation tallies on the replicas)",
     )
     online.add_argument(
         "--durable-dir",
@@ -881,12 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="run N shards on worker threads (default: serial)",
-    )
-    scenario.add_argument(
-        "--backend",
-        choices=["shared", "replicated"],
-        default="shared",
-        help="storage backend (default: shared)",
     )
     scenario.add_argument(
         "--executor",

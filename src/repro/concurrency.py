@@ -26,12 +26,12 @@ two primitives the standard library does not provide directly:
   :attr:`OwnedLock.held_elsewhere` and
   :class:`~repro.errors.ConcurrencyError`.
 
-* :class:`NullRWLock` — the lock-shaped no-op.  A per-shard database
-  *replica* (``repro.db.backend.ReplicatedBackend``) is only ever read
-  by its owning shard, so its facade needs no synchronization at all;
-  constructing the replica with this stand-in keeps the
-  :class:`~repro.db.Database` code identical while making every lock
-  acquisition free.
+* :class:`NullRWLock` — the lock-shaped no-op.  A hosted shard's
+  database *replica* (``repro.core.transport.WorkerSession``) has one
+  owner that serializes its reads and writes through the engine lock,
+  so its facade needs no synchronization of its own; constructing the
+  replica with this stand-in keeps the :class:`~repro.db.Database`
+  code identical while making every lock acquisition free.
 
 Both primitives are cheap when uncontended (a condition-variable
 acquire/release pair), so the serial code paths can share one

@@ -83,7 +83,7 @@ from typing import (
 )
 
 from ..concurrency import OwnedLock
-from ..db import CoordinationStats, Database, EvaluationReader
+from ..db import CoordinationStats, Database
 from ..errors import ConcurrencyError, PreconditionError
 from ..graphs import UnionFind
 from .coordination_graph import CoordinationGraph
@@ -251,8 +251,7 @@ class _EvaluationPlan:
     fixpoint on the live graph.  ``edges`` (collapsed edges of the whole
     component) and ``removed`` (queries the fixpoint dropped) complete
     the counters the run reports.  ``cache`` is the stamp-checked state
-    cache and ``db`` the database view acquired from the storage
-    backend (the shared store, or a freshly synced per-shard replica).
+    cache.
     """
 
     component: Tuple[str, ...]
@@ -260,7 +259,6 @@ class _EvaluationPlan:
     edges: int
     removed: int
     cache: Optional[ComponentCache]
-    db: Database
 
 
 @dataclass
@@ -311,16 +309,6 @@ class CoordinationEngine:
         fail to explain a changed global stamp — and entries touching
         a satisfied/retracted (deleted) query are dropped.  Disable to
         reproduce the non-memoized evaluation cost profile.
-    reader:
-        Optional storage-backend view
-        (:class:`~repro.db.EvaluationReader`): where this engine's
-        evaluations *read* from.  ``None`` (default) evaluates against
-        ``db`` directly — the shared-store behaviour.  The sharded
-        service hands each shard its backend reader; with the
-        replicated backend the reader returns a private replica synced
-        at plan time, so the evaluation (run) phase touches no shared
-        lock.  Writes and version stamps always go through ``db``, the
-        authoritative store.
     """
 
     def __init__(
@@ -330,10 +318,8 @@ class CoordinationEngine:
         check_safety: bool = True,
         reuse_groundings: bool = False,
         reuse_component_states: bool = True,
-        reader: Optional[EvaluationReader] = None,
     ) -> None:
         self.db = db
-        self._reader = reader
         self.choose = choose
         self.check_safety = check_safety
         self.reuse_groundings = reuse_groundings
@@ -521,13 +507,12 @@ class CoordinationEngine:
         ``result.chosen`` is ``None``.
         """
         self._guard()
-        db = self._evaluation_db()
         result = scc_coordinate_on_graph(
-            db,
+            self.db,
             self._graph,
             choose=self.choose,
             reuse_groundings=self.reuse_groundings,
-            component_cache=self._component_cache(db),
+            component_cache=self._component_cache(),
         )
         if result.chosen is not None:
             satisfied = result.chosen.members
@@ -751,40 +736,20 @@ class CoordinationEngine:
         # count is its members' out-degree sum in the live graph.
         digraph = self._graph.graph
         edges = sum(digraph.out_degree(member) for member in component)
-        # Acquire the evaluation view first, then stamp-check the cache
-        # against *it*: the stamps then describe exactly the data the
-        # run phase will read (for a replica this is also lock-free —
-        # the authoritative store is only touched when its write token
-        # moved; epochs equal row counts, so replica stamps agree with
-        # the authoritative stamps they were synced from).
-        db = self._evaluation_db()
         return _EvaluationPlan(
             component,
             self._graph.restricted_to(alive),
             edges,
             len(removed),
-            self._component_cache(db),
-            db,
+            self._component_cache(),
         )
-
-    def _evaluation_db(self) -> Database:
-        """The database view evaluations read from (plan-phase acquire).
-
-        Without a backend reader this is the authoritative store
-        itself.  With one, the backend hands back its view for this
-        shard — for the replicated backend, a private replica lazily
-        synced to the authoritative per-relation version stamps, so the
-        run phase that follows does no cross-shard locking."""
-        if self._reader is None:
-            return self.db
-        return self._reader.acquire()
 
     def _run_evaluation(self, plan: "_EvaluationPlan") -> CoordinationResult:
         """Data-plane half: pure computation over the plan's snapshot.
 
         Touches no engine structure, so the concurrent executor runs it
         outside :attr:`lock`; database access synchronizes through the
-        plan database's own reader–writer lock (a no-op for a private
+        database's own reader–writer lock (a no-op for a lock-free
         replica) and cache writes through the cache's mutex.  The plan
         phase already preprocessed, so the run starts at the SCC pass
         and reports the whole component's counters."""
@@ -794,7 +759,7 @@ class CoordinationEngine:
             preprocessing_removed=plan.removed,
         )
         return scc_coordinate_on_graph(
-            plan.db,
+            self.db,
             plan.survivors,
             choose=self.choose,
             run_preprocessing=False,
@@ -883,11 +848,9 @@ class CoordinationEngine:
         for callback in self._resolution_callbacks:
             callback(handle)
 
-    def _component_cache(self, db: Database) -> Optional[ComponentCache]:
-        """The cross-arrival component cache, stamped against ``db`` —
-        the view the upcoming evaluation reads (the authoritative store,
-        or the shard replica just synced from it, whose per-relation
-        epochs agree with the authoritative stamps by construction).
+    def _component_cache(self) -> Optional[ComponentCache]:
+        """The cross-arrival component cache, stamped against the
+        database the upcoming evaluation reads.
 
         The cheap global-sum stamp (:meth:`~repro.db.Database.data_version`)
         gates the common unchanged case; when it moves, the per-relation
@@ -898,9 +861,9 @@ class CoordinationEngine:
         """
         if self._component_states is None:
             return None
-        stamp = db.data_version()
+        stamp = self.db.data_version()
         if stamp != self._db_stamp:
-            stamps = db.data_versions()
+            stamps = self.db.data_versions()
             changed = {
                 relation
                 for relation in stamps.keys() | self._db_stamps.keys()

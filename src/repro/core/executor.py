@@ -3,9 +3,9 @@
 :class:`~repro.core.service.ShardedCoordinationService` separates a
 *control plane* (the router thread: probing, admission, migration,
 placement — cheap graph deltas) from a *data plane* (component
-evaluations — database joins, against the shared store or, under the
-replicated storage backend, a private per-shard replica synced at plan
-time).  This module supplies the two thread primitives that separation
+evaluations — database joins against the shared store, or, under the
+hosted executors, against a private per-shard replica synced over the
+wire).  This module supplies the two thread primitives that separation
 runs on:
 
 * :class:`ShardWorker` — one thread per engine shard, consuming a
@@ -51,7 +51,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 from ..concurrency import Deadline
 from ..errors import PreconditionError
 
-#: The executor seam's valid specs (``ShardedCoordinationService(executor=...)``).
+#: The executor seam's valid specs (``ServiceConfig(executor=...)``).
 EXECUTORS = ("thread", "process", "remote")
 
 

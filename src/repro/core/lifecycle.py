@@ -33,7 +33,7 @@ once; a callback registered *after* resolution fires immediately on
 the registering thread.  In the serial engines they fire synchronously
 inside the resolving call and must not re-enter the engine that is
 resolving them.  Under the concurrent shard executor
-(``ShardedCoordinationService(workers=N)``) the handle carries a
+(``ServiceConfig(workers=N)``) the handle carries a
 *dispatch seam* (:meth:`QueryHandle._use_dispatcher`): resolution still
 updates the handle's state synchronously on the worker, but user
 callbacks are handed to a dedicated dispatcher thread, so a callback

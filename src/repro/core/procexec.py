@@ -1,9 +1,8 @@
 """Process-based shard transport: one engine shard per worker *process*.
 
 The worker-thread executor (:mod:`repro.core.executor`) decouples the
-accept path from evaluation, and the replicated storage backend
-(:mod:`repro.db.backend`) makes the evaluation phase lock-free — but on
-GIL builds the data plane still shares one interpreter.  This module
+accept path from evaluation — but on GIL builds the data plane still
+shares one interpreter.  This module
 moves each shard across a process boundary, the way a parallel DBMS
 scales its data plane.
 

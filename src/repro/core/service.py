@@ -17,10 +17,10 @@ Routing (per arrival):
    :meth:`~repro.core.engine.CoordinationEngine.incident_pending` probe
    per shard — the same candidate-index work a single engine does,
    just partitioned);
-2. no incident shard → place on the least-loaded shard (fewest pending
-   queries, ties broken by lowest shard index — deterministic for a
-   given stream, and reproducible across processes, unlike salted
-   string hashing);
+2. no incident shard → place on the least-loaded shard (lowest
+   evaluation-cost score, ties broken by lowest shard index —
+   deterministic for a given stream, and reproducible across
+   processes, unlike salted string hashing);
 3. one incident shard → place there;
 4. several incident shards → the arrival's edges *span* shards, which
    would break the invariant.  The touched components **migrate**: the
@@ -65,26 +65,6 @@ on a shard worker, so a callback may re-enter the service without
 deadlocking the shard that resolved it.  Handles stay thread-safe
 (:meth:`~repro.core.lifecycle.QueryHandle.wait`), and the shared
 database synchronizes reads/writes through its own reader–writer lock.
-
-Storage backends (``backend="shared"``/``"replicated"``)
---------------------------------------------------------
-Where shard evaluations *read from* is pluggable
-(:mod:`repro.db.backend`).  The default shared backend has every shard
-evaluate against the one authoritative database under its
-reader–writer lock.  The **replicated** backend gives each shard a
-private lock-free replica, lazily re-synced from the authoritative
-store at evaluation *plan* time by diffing the per-relation
-:meth:`~repro.db.Database.data_versions` stamps — so the expensive
-evaluation phase does no cross-shard locking at all.  Invalidation
-rides the write path: :meth:`insert` (after its evaluation barrier)
-lands in the authoritative store, whose write listener bumps the
-backend's write token; the next plan-phase acquisition on any shard
-sees the moved token and copies exactly the changed relations' new
-rows.  Replicas sync to the monotone authoritative state, so migration
-re-homing a component onto another shard never lets it observe older
-data than its donor shard did.  Outcomes are byte-identical across
-backends — asserted by the same equivalence and journal-replay fuzz
-suites that pin the worker mode to the serial service.
 
 Process executor (``executor="process"``)
 -----------------------------------------
@@ -136,14 +116,13 @@ outcomes are unaffected).
 from __future__ import annotations
 
 import threading
-import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..concurrency import SHUTDOWN_GRACE, Deadline
-from ..db import BackendSpec, Database, resolve_backend, wire
+from ..db import Database, wire
 from ..db.database import MutationEvent
 from ..db.durability import (
     DurabilitySpec,
@@ -194,17 +173,14 @@ JournalEntry = Tuple[Any, ...]
 class ServiceConfig:
     """Typed construction options for :class:`ShardedCoordinationService`.
 
-    One value object instead of a twelve-keyword pile: build it once,
-    pass it as the service's second argument, :meth:`evolve` variants
-    of it.  Field semantics are documented on the service class (each
-    field matches its former keyword argument 1:1, as do the CLI's
-    ``online`` flags); the legacy keyword form still works but emits a
-    :class:`DeprecationWarning`.
-
-    ``remote_shards`` is the one field with no keyword ancestry: under
-    ``executor="remote"`` it lists the ``HOST:PORT`` address (or
-    ``(host, port)`` tuple) of one :class:`~repro.core.remote.ShardHost`
-    per shard — the shard count *is* ``len(remote_shards)``.
+    One value object instead of a keyword pile: build it once, pass it
+    as the service's second argument, :meth:`evolve` variants of it.
+    Field semantics are documented on the service class (the CLI's
+    ``online`` flags match the fields 1:1).  Under
+    ``executor="remote"``, ``remote_shards`` lists the ``HOST:PORT``
+    address (or ``(host, port)`` tuple) of one
+    :class:`~repro.core.remote.ShardHost` per shard — the shard count
+    *is* ``len(remote_shards)``.
     """
 
     shards: int = 2
@@ -214,7 +190,6 @@ class ServiceConfig:
     reuse_groundings: bool = False
     reuse_component_states: bool = True
     mailbox_capacity: int = 1024
-    backend: BackendSpec = "shared"
     executor: str = "thread"
     durability: DurabilitySpec = None
     control_lane: bool = True
@@ -227,30 +202,15 @@ class ServiceConfig:
     #: can price each feature (DESIGN.md §14).
     plan_cache: Optional[bool] = None
     composite_indexes: Optional[bool] = None
-    #: Placement policy for routing and rebalancing: ``"cost"``
-    #: (default) balances evaluation-cost scores
-    #: (:meth:`ShardedCoordinationService.shard_cost_scores`);
-    #: ``"pending"`` restores the pre-cost policy of balancing raw
-    #: pending counts.  Placement never changes outcomes, only which
-    #: shard does the work.
-    placement: str = "cost"
 
     def __post_init__(self) -> None:
         # Normalize: accept any iterable of addresses, store a tuple so
         # the config stays hashable/frozen.
         object.__setattr__(self, "remote_shards", tuple(self.remote_shards))
-        if self.placement not in ("cost", "pending"):
-            raise PreconditionError(
-                f"unknown placement policy {self.placement!r} "
-                "(expected 'cost' or 'pending')"
-            )
 
     def evolve(self, **changes: Any) -> "ServiceConfig":
         """A copy of this config with ``changes`` applied."""
         return replace(self, **changes)
-
-
-_CONFIG_FIELDS = frozenset(f.name for f in dataclass_fields(ServiceConfig))
 
 
 class ShardedCoordinationService:
@@ -273,12 +233,8 @@ class ShardedCoordinationService:
         its reader–writer lock is the only synchronization evaluation
         needs).
     config:
-        A :class:`ServiceConfig` carrying every other option.  The
-        field-per-field meanings follow (named after the former
-        keyword arguments, which are still accepted — with a
-        :class:`DeprecationWarning` — for one transition cycle; a bare
-        integer second argument is read as the legacy positional
-        ``shards``).
+        A :class:`ServiceConfig` carrying every other option (``None``
+        means the defaults).  Its fields' meanings follow.
     shards:
         Number of engine shards (≥ 1; 1 degenerates to a single engine
         behind the routing facade).  Ignored when ``workers`` is given.
@@ -296,13 +252,6 @@ class ShardedCoordinationService:
     choose, check_safety, reuse_groundings, reuse_component_states:
         Forwarded to every shard's
         :class:`~repro.core.engine.CoordinationEngine`.
-    backend:
-        Storage backend the shards evaluate against: ``"shared"``
-        (default), ``"replicated"``, or a pre-built
-        :class:`~repro.db.Backend` instance bound to ``db``.  See the
-        module docstring; semantics are identical either way.  Thread
-        executor only — the process executor always evaluates on
-        per-process replicas synced over the wire.
     executor:
         What a shard's data plane runs on: ``"thread"`` (default)
         keeps the engines in-process; ``"process"`` hosts each shard's
@@ -331,17 +280,18 @@ class ShardedCoordinationService:
         every database mutation and journal entry is written ahead to
         the WAL, with periodic snapshot + compaction checkpoints
         (see :mod:`repro.db.durability` and DESIGN.md §11).  Composes
-        with every ``backend``/``executor``/``workers`` combination;
+        with every ``executor``/``workers`` combination;
         the recovered outcome is byte-identical to a service that
         never crashed (the crash-recovery fuzz suite's contract).
     control_lane:
-        Process executor only: whether each shard worker process gets
-        the second (priority) pipe for control commands, so routing
-        probes and admissions never queue behind an in-flight
-        ``evaluate`` frame.  Default ``True``; ``False`` restores the
+        Hosted executors only: whether each hosted shard gets the
+        second (priority) lane for control commands, so routing probes
+        and admissions never queue behind an in-flight ``evaluate``
+        frame.  Default ``True``; ``False`` restores the
         pre-control-lane blocking path (the latency benchmark's
         baseline).  Thread workers always have their in-process
-        control lane.
+        control lane, so ``False`` under ``executor="thread"`` is
+        rejected rather than silently ignored.
     """
 
     #: Router ops between opportunistic rebalance checks.
@@ -355,41 +305,14 @@ class ShardedCoordinationService:
     MAILBOX_DEPTH_WEIGHT = 4
 
     def __init__(
-        self,
-        db: Database,
-        config: Optional[ServiceConfig] = None,
-        **kwargs: Any,
+        self, db: Database, config: Optional[ServiceConfig] = None
     ) -> None:
-        if isinstance(config, int):
-            # Legacy positional ``shards``.
-            kwargs.setdefault("shards", config)
-            config = None
-        if config is not None:
-            if kwargs:
-                raise PreconditionError(
-                    "pass a ServiceConfig or legacy keyword arguments, "
-                    "not both"
-                )
-            if not isinstance(config, ServiceConfig):
-                raise PreconditionError(
-                    f"expected a ServiceConfig, got {type(config).__name__}"
-                )
-        else:
-            unknown = set(kwargs) - _CONFIG_FIELDS
-            if unknown:
-                raise PreconditionError(
-                    f"unknown service option(s) {sorted(unknown)!r} "
-                    f"(ServiceConfig fields: {sorted(_CONFIG_FIELDS)})"
-                )
-            if kwargs:
-                warnings.warn(
-                    "ShardedCoordinationService keyword arguments are "
-                    "deprecated; pass ServiceConfig(...) as the second "
-                    "argument instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = ServiceConfig(**kwargs)
+        if config is None:
+            config = ServiceConfig()
+        elif not isinstance(config, ServiceConfig):
+            raise PreconditionError(
+                f"expected a ServiceConfig, got {type(config).__name__}"
+            )
         #: The resolved construction-time configuration (immutable).
         self.config = config
         shards = config.shards
@@ -399,26 +322,29 @@ class ShardedCoordinationService:
         reuse_groundings = config.reuse_groundings
         reuse_component_states = config.reuse_component_states
         mailbox_capacity = config.mailbox_capacity
-        backend = config.backend
         executor = config.executor
         durability = config.durability
         control_lane = config.control_lane
         remote_shards = config.remote_shards
 
-        # Apply the ablation toggles before any backend/executor is
-        # built, so lazily created replicas and worker-process sessions
-        # inherit the effective settings.
+        # Apply the ablation toggles before any executor is built, so
+        # hosted shards' replicas inherit the effective settings.
         if config.plan_cache is not None or config.composite_indexes is not None:
             db.configure(
                 plan_cache=config.plan_cache,
                 composite_indexes=config.composite_indexes,
             )
-        self._placement = config.placement
 
         self.executor = resolve_executor(executor)
         if remote_shards and self.executor != "remote":
             raise PreconditionError(
                 "remote_shards requires executor='remote'"
+            )
+        if not control_lane and self.executor == "thread":
+            raise PreconditionError(
+                "control_lane=False requires a hosted executor "
+                "('process' or 'remote'); thread shards always have "
+                "their in-process control lane"
             )
         if self.executor == "remote":
             if not remote_shards:
@@ -442,21 +368,12 @@ class ShardedCoordinationService:
         self.db = db
         if self.executor in ("process", "remote"):
             # Each hosted shard owns a private replica synced over the
-            # wire — these executors *are* a replicated backend across
-            # an IPC/network boundary, so the thread-mode backend seam
-            # does not apply.
-            if not isinstance(backend, str):
-                raise PreconditionError(
-                    f"the {self.executor} executor owns its per-worker "
-                    "replicas; pass a backend name, not a backend instance"
-                )
+            # wire.
             if choose is not largest_candidate:
                 raise PreconditionError(
                     f"the {self.executor} executor cannot ship a custom "
                     "selection criterion across the worker boundary"
                 )
-            self._owns_backend = False
-            self.backend = None
             self._engines: List = []
             try:
                 for index in range(shards):
@@ -494,13 +411,6 @@ class ShardedCoordinationService:
                     engine.stop(timeout=1.0)
                 raise
         else:
-            #: The storage backend shard evaluations read through; writes
-            #: always go to the authoritative ``db``.  A backend built
-            #: here from a name spec is owned (and closed) by this
-            #: service; a caller-provided instance stays the caller's to
-            #: close.
-            self._owns_backend = isinstance(backend, str)
-            self.backend = resolve_backend(backend, db)
             self._engines = [
                 CoordinationEngine(
                     db,
@@ -508,9 +418,8 @@ class ShardedCoordinationService:
                     check_safety=check_safety,
                     reuse_groundings=reuse_groundings,
                     reuse_component_states=reuse_component_states,
-                    reader=self.backend.reader(index),
                 )
-                for index in range(shards)
+                for _ in range(shards)
             ]
         # Probe fan-out pool: under the process executor each per-shard
         # incident probe is a control-lane IPC round trip whose latency
@@ -623,23 +532,6 @@ class ShardedCoordinationService:
         return 0 if self._workers is None else len(self._workers)
 
     @property
-    def backend_name(self) -> str:
-        """The storage backend identifier.
-
-        ``shared``/``replicated`` under the thread executor;
-        ``ipc-replicated`` (process) or ``tcp-replicated`` (remote)
-        under the hosted executors, whose per-worker replicas are not
-        a pluggable thread-mode backend.
-        """
-        if self.backend is None:
-            return (
-                "tcp-replicated"
-                if self.executor == "remote"
-                else "ipc-replicated"
-            )
-        return self.backend.name
-
-    @property
     def live_shards(self) -> Tuple[int, ...]:
         """Indices of shards whose workers are up (all, for threads)."""
         return tuple(
@@ -673,23 +565,6 @@ class ShardedCoordinationService:
             for index, worker in enumerate(self._workers):
                 scores[index] += self.MAILBOX_DEPTH_WEIGHT * worker.depth
         return tuple(scores)
-
-    def _placement_scores(self) -> Tuple[int, ...]:
-        """Per-shard load scores under the configured placement policy.
-
-        ``"cost"`` (default) is :meth:`shard_cost_scores`; ``"pending"``
-        is raw pending counts plus mailbox depth — the pre-cost policy,
-        kept as an ablation baseline so the matrix can price cost-based
-        placement against it.
-        """
-        if self._placement == "pending":
-            with self._tables:
-                scores = list(self._loads)
-            if self._workers is not None:
-                for index, worker in enumerate(self._workers):
-                    scores[index] += worker.depth
-            return tuple(scores)
-        return self.shard_cost_scores()
 
     def probe(self, shard: int) -> Tuple[str, ...]:
         """Round-trip a control-lane probe to one shard's worker.
@@ -939,10 +814,10 @@ class ShardedCoordinationService:
         call barriers behind *all* outstanding evaluations (worker
         mode), then performs the insert, linearized under the router
         lock.  The insert lands in the authoritative store, whose write
-        listener invalidates the replicated backend's per-shard
-        replicas (they re-sync at their next plan-phase acquisition).
-        Direct ``db.insert`` calls still invalidate replicas but bypass
-        the barrier, so they are only stream-equivalent in serial mode.
+        listener invalidates the hosted shards' replicas (they re-sync
+        with their next ``evaluate``/``flush`` command).  Direct
+        ``db.insert`` calls still invalidate replicas but bypass the
+        barrier, so they are only stream-equivalent in serial mode.
         """
         with self._router:
             self._check_open()
@@ -1123,12 +998,6 @@ class ShardedCoordinationService:
                     engine.stop(deadline.remaining())
             if self._probe_pool is not None:
                 self._probe_pool.shutdown(wait=False)
-            if self._owns_backend:
-                # Detach the backend's database hooks so a long-lived
-                # database does not keep paying for (or pinning) the
-                # replicas of a service that is gone.  Caller-provided
-                # backend instances are the caller's to close.
-                self.backend.close()
             if self.durable is not None:
                 # Everything since the last checkpoint is already in
                 # the WAL, so closing needs no final snapshot — just
@@ -1154,12 +1023,14 @@ class ShardedCoordinationService:
         Default placement only ever *merges* components onto shards, so
         a long stream can skew loads; this walks whole **idle**
         components (no outstanding evaluation) from the shard with the
-        most pending queries to the one with the fewest, using the same
-        release/adopt machinery as spanning-arrival migration — so
-        handles, callbacks, and outcomes are untouched.  A component
-        moves only when it is at most half the hot–cold gap (each move
-        strictly narrows the gap, so the loop terminates); ties are
-        broken deterministically (largest component first, then name).
+        highest evaluation-cost score (:meth:`shard_cost_scores`) to
+        the one with the lowest, using the same release/adopt machinery
+        as spanning-arrival migration — so handles, callbacks, and
+        outcomes are untouched.  A component moves only when its cost
+        weight (its members' admission costs summed) is at most half
+        the hot–cold gap (each move strictly narrows the gap, so the
+        loop terminates); ties are broken deterministically (heaviest
+        component first, then name).
         Returns the number of queries moved.  The router also invokes
         this opportunistically every :data:`REBALANCE_INTERVAL`
         operations once the gap reaches :data:`REBALANCE_THRESHOLD`.
@@ -1174,14 +1045,14 @@ class ShardedCoordinationService:
         if self._ops_since_rebalance < self.REBALANCE_INTERVAL:
             return
         self._ops_since_rebalance = 0
-        scores = self._placement_scores()
+        scores = self.shard_cost_scores()
         if max(scores) - min(scores) >= self.REBALANCE_THRESHOLD:
             self._rebalance_locked(max_moves=4)
 
     def _rebalance_locked(self, max_moves: int) -> int:
         moved = 0
         for _ in range(max_moves):
-            scores = self._placement_scores()
+            scores = self.shard_cost_scores()
             candidates = (
                 self.live_shards if self._failover else range(len(scores))
             )
@@ -1198,19 +1069,12 @@ class ShardedCoordinationService:
                 components = engine.components()
             with self._tables:
                 busy = set(self._busy[hot])
-                if self._placement == "pending":
-                    # Pending placement weighs a component by member
-                    # count — the unit its scores are denominated in.
-                    weights = {
-                        component: len(component) for component in components
-                    }
-                else:
-                    weights = {
-                        component: sum(
-                            self._query_cost.get(name, 1) for name in component
-                        )
-                        for component in components
-                    }
+                weights = {
+                    component: sum(
+                        self._query_cost.get(name, 1) for name in component
+                    )
+                    for component in components
+                }
             # A component moves only when its evaluation-cost weight is
             # at most half the hot–cold score gap, so each move strictly
             # narrows the gap and the loop terminates.
@@ -1406,11 +1270,9 @@ class ShardedCoordinationService:
         scores are a pure function of the stream (mailboxes are empty
         at routing time), so placement stays deterministic there and
         reproducible across processes.  Placement is unobservable in
-        outcomes either way; this only evens the *work*.  Under
-        ``placement="pending"`` the scores are raw pending counts
-        instead (see :meth:`_placement_scores`).
+        outcomes either way; this only evens the *work*.
         """
-        scores = self._placement_scores()
+        scores = self.shard_cost_scores()
         candidates = (
             self.live_shards if self._failover else range(len(scores))
         )
@@ -1865,7 +1727,7 @@ class ShardedCoordinationService:
         this tolerates a pre-populated authoritative database: relation
         inserts are set-semantics, so re-applying rows the caller
         already seeded is a no-op, and going through the facade keeps
-        backend invalidation (write listeners) working.  Integrity is
+        replica invalidation (write listeners) working.  Integrity is
         the frame CRC's job, not a stamp cross-check against a database
         the snapshot never promised to match.
         """
@@ -2023,7 +1885,7 @@ class ShardedCoordinationService:
         )
         return (
             f"ShardedCoordinationService({self.shard_count} shards, {mode}, "
-            f"{self.executor} executor, {self.backend_name} backend, "
+            f"{self.executor} executor, "
             f"pending per shard: [{loads}], "
             f"{self.migrations} migrations, {self.rebalances} rebalanced)"
         )

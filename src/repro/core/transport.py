@@ -286,11 +286,11 @@ class ShardProxy:
     side; the worker's private handles never cross the boundary (their
     resolutions do, as records).
 
-    Replica sync is write-token gated exactly like the in-process
-    replicated backend: a listener on the authoritative database bumps
-    the token on every facade write, and the next ``evaluate``/``flush``
-    command whose token moved carries a :func:`repro.db.wire.build_sync`
-    payload of the changed relations' mutation-log tails.
+    Replica sync is write-token gated: a listener on the authoritative
+    database bumps the token on every facade write, and the next
+    ``evaluate``/``flush`` command whose token moved carries a
+    :func:`repro.db.wire.build_sync` payload of the changed relations'
+    mutation-log tails.
 
     Subclasses implement the transport: :meth:`_transact` (one raw
     framed round trip on the requested lane), :attr:`_has_control`

@@ -6,14 +6,6 @@ storage, a backtracking conjunctive-query evaluator, and
 machine-independent instrumentation counters.
 """
 
-from .backend import (
-    Backend,
-    BackendSpec,
-    EvaluationReader,
-    ReplicatedBackend,
-    SharedBackend,
-    resolve_backend,
-)
 from .builder import DatabaseBuilder, unary_boolean_database
 from .database import Database, MutationEvent
 from .durability import (
@@ -44,8 +36,6 @@ from . import wire
 
 __all__ = [
     "Assignment",
-    "Backend",
-    "BackendSpec",
     "CompiledPlan",
     "ConjunctiveQuery",
     "CoordinationStats",
@@ -57,14 +47,11 @@ __all__ = [
     "DurabilityConfig",
     "DurableStore",
     "EngineStats",
-    "EvaluationReader",
     "Evaluator",
     "FileSnapshotStore",
     "MutationEvent",
     "RecoveredState",
     "Relation",
-    "ReplicatedBackend",
-    "SharedBackend",
     "RelationSchema",
     "Row",
     "Schema",
@@ -76,7 +63,6 @@ __all__ = [
     "database_to_spec",
     "load_csv_table",
     "load_database",
-    "resolve_backend",
     "save_csv_table",
     "save_database",
     "unary_boolean_database",

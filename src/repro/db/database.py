@@ -5,9 +5,8 @@ role MySQL/JDBC played in the paper's implementation (Section 6): the
 algorithms submit conjunctive queries and receive one grounding
 (choose-1 semantics) or enumerate projections for option lists.
 
-Concurrency: under the shared storage backend one database instance is
-shared by every engine shard, so
-the facade guards itself with a :class:`~repro.concurrency.RWLock` —
+Concurrency: under the thread executor one database instance is shared
+by every engine shard, so the facade guards itself with a :class:`~repro.concurrency.RWLock` —
 evaluation (reads) from any number of shard workers proceeds
 concurrently, inserts take the lock exclusively.  Locking lives at the
 facade boundary only: the hot per-atom loops inside
@@ -19,11 +18,10 @@ concurrent readers — see the storage module).  The per-relation
 state (the engine's component-state cache) validate against
 :meth:`data_versions` instead of serializing behind writers.
 
-Under the *replicated* backend (:mod:`repro.db.backend`) each shard
-evaluates against a private, lock-free replica instance
-(``synchronized=False``) that the backend lazily syncs from this
-authoritative store by diffing the same per-relation stamps, so the
-evaluation phase touches no cross-shard lock at all.
+Under the hosted executors (process and remote) each shard evaluates
+against a private, lock-free replica instance (``synchronized=False``)
+synced from this authoritative store over the wire by diffing the same
+per-relation stamps (:func:`repro.db.wire.build_sync`).
 """
 
 from __future__ import annotations
@@ -71,9 +69,8 @@ class Database:
         ``True`` (default) guards the instance with a reader–writer
         lock.  ``False`` installs the no-op
         :class:`~repro.concurrency.NullRWLock` — for single-owner
-        instances such as the per-shard replicas of
-        :class:`~repro.db.backend.ReplicatedBackend`, whose readers
-        never race a writer by construction.
+        instances such as a hosted shard's replica, whose reads and
+        writes its owner already serializes.
     """
 
     def __init__(
@@ -100,8 +97,8 @@ class Database:
         self.rw = RWLock() if synchronized else NullRWLock()
         # Write listeners: called (outside the lock) after every
         # facade-level mutation — inserts that changed data and DDL.
-        # Replicated backends register here so a write anywhere
-        # invalidates every replica's fast path; mutations performed
+        # Hosted-shard proxies register here so a write anywhere
+        # invalidates every replica's sync fast path; mutations performed
         # directly on a Relation handle bypass them, exactly as they
         # bypass the facade's counters.
         self._write_listeners: List[Callable[[], None]] = []
@@ -126,14 +123,12 @@ class Database:
     def attach_relation(self, relation_schema: RelationSchema) -> Relation:
         """Register an existing (immutable) relation schema.
 
-        Also the replica-sync path: a replica mirrors the authoritative
-        store's relations by attaching the *same*
-        :class:`~repro.db.schema.RelationSchema` objects (they are
-        frozen, so sharing is safe) instead of re-validating a copy.
+        Also the replica-sync path: a replica attaches the schemas a
+        sync payload carries (:func:`repro.db.wire.apply_sync`).
         Fires write listeners like any DDL — a new relation must reach
-        the replicated backend's invalidation token no matter which
-        declaration path created it (on a replica the notify is a
-        no-op: replicas have no listeners).
+        the hosted shards' sync tokens no matter which declaration path
+        created it (on a replica the notify is a no-op: replicas have
+        no listeners).
         """
         with self.rw.write():
             self.schema.add(relation_schema)
@@ -213,7 +208,7 @@ class Database:
         Fired after :meth:`insert`/:meth:`insert_many` calls that
         changed data and after :meth:`create_relation`, outside the
         instance lock.  Listeners must be cheap and idempotent (a
-        replicated backend bumps a write token); detach with
+        hosted-shard proxy bumps a sync token); detach with
         :meth:`remove_write_listener` when the registrant's lifetime is
         shorter than the database's — a registered listener pins its
         closure until removed.
@@ -256,8 +251,7 @@ class Database:
     def _notify_write(self) -> None:
         if not self._write_listeners:
             return
-        # Snapshot: a listener may detach itself mid-notification (the
-        # replicated backend's self-pruning weakref stub does).
+        # Snapshot: a listener may detach itself mid-notification.
         for listener in list(self._write_listeners):
             listener()
 

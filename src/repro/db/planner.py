@@ -20,8 +20,8 @@ that to *compile time*:
   exactly the traffic the coordination algorithms generate (the same
   partner/flights body per member, different member constants).
 
-**Determinism.**  Replicated and process backends evaluate the same
-logical database state on different :class:`~repro.db.Database`
+**Determinism.**  Hosted shards (process and remote executors) evaluate
+the same logical database state on different :class:`~repro.db.Database`
 instances with independent plan caches, and the equivalence suites
 require byte-identical results.  The compiler therefore consumes only
 *quantized* statistics — per-relation size classes and per-column

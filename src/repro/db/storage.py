@@ -180,42 +180,14 @@ class Relation:
             self.log_start = self.write_epoch - len(self._log)
         return True
 
-    def replicate_from(self, source: "Relation") -> int:
-        """Replay ``source``'s mutations this store has not seen yet.
-
-        The replica-sync primitive: a replica whose epoch trails the
-        source catches up by replaying the source's mutation-log tail
-        starting at its own epoch — O(new mutations), never
-        O(relation).  If the source has compacted that tail away (only
-        possible with deletions), the replica falls back to a full
-        :meth:`reset_to` of the source's live rows.  Either way the
-        replica's row order ends up byte-identical to the source's, so
-        scans (and therefore evaluation results) match exactly.
-        Returns the number of mutations applied (rows on reset); the
-        caller holds whatever lock protects ``source``.
-        """
-        try:
-            tail = source.row_tail(self.write_epoch)
-        except PreconditionError:
-            rows = list(source.scan())
-            self.reset_to(rows, source.write_epoch)
-            return len(rows)
-        applied = 0
-        for entry in tail:
-            if isinstance(entry, Tombstone):
-                if self.delete(entry.row):
-                    applied += 1
-            elif self.insert(entry):
-                applied += 1
-        return applied
-
     def row_tail(self, start: int) -> List[LogEntry]:
         """The mutations applied at or after epoch ``start``, in order.
 
-        The serializable face of :meth:`replicate_from`: an in-process
-        replica replays the tail directly, while the wire codec
-        (:func:`repro.db.wire.build_sync`) encodes the same tail into a
-        sync payload shipped over the IPC/TCP boundary.  Entries are
+        The replica-sync primitive: the wire codec
+        (:func:`repro.db.wire.build_sync`) encodes the tail into a sync
+        payload shipped over the IPC/TCP boundary, and the replica
+        replays it (:func:`repro.db.wire.apply_sync`) — O(new
+        mutations), never O(relation).  Entries are
         rows (inserts) or :class:`Tombstone` markers (deletes).  For an
         append-only relation this is exactly the rows inserted at or
         after row index ``start``.  Raises

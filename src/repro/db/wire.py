@@ -1,11 +1,12 @@
-"""Wire codec for the process-based shard executor.
+"""Wire codec for the hosted shard executors.
 
-The replicated storage backend (:mod:`repro.db.backend`) already made
-replica sync an explicit copy-over-a-boundary: per-relation row tails
-keyed by :meth:`~repro.db.Database.data_versions` stamps.  This module
-makes the boundary a real one — a framed, versioned byte protocol the
+Hosted shards (process and remote) evaluate against private replicas
+kept in sync with the authoritative store by per-relation mutation-log
+tails keyed by :meth:`~repro.db.Database.data_versions` stamps.  This
+module is the framed, versioned byte protocol the
 :class:`~repro.core.procexec.ProcessShardExecutor` ships over a pipe
-between the router process and its shard worker processes:
+(and :class:`~repro.core.remote.RemoteShardTransport` over TCP)
+between the router and its shard workers:
 
 * **frames** — every message is ``MAGIC + version byte + CRC-32 +
   compact JSON`` (:func:`dumps` / :func:`loads`).  The explicit
@@ -232,11 +233,10 @@ def build_sync(
     plus the full target stamp vector the replica must match after
     applying.  Every successful insert or delete bumps the epoch
     exactly once, so the acknowledged epoch indexes straight into the
-    source's mutation log — the same identity
-    :meth:`~repro.db.storage.Relation.replicate_from` relies on.  When
-    the source has compacted the tail away (deletion churn), the record
-    degrades to a full-snapshot *reset*: the live rows plus the target
-    epoch, applied via
+    source's mutation log (:meth:`~repro.db.storage.Relation.row_tail`).
+    When the source has compacted the tail away (deletion churn), the
+    record degrades to a full-snapshot *reset*: the live rows plus the
+    target epoch, applied via
     :meth:`~repro.db.storage.Relation.reset_to`.  The whole walk runs
     under one shared read acquisition of ``db``.
     """

@@ -17,7 +17,7 @@ vocabulary shared with :func:`tests.core.service_testing
 
 Streams end with ``("flush_drain",)`` — its fixpoint is
 placement-independent, which is what makes scenario outcomes
-byte-comparable across shard counts, backends and executors (a plain
+byte-comparable across shard counts, worker modes and executors (a plain
 ``flush`` retires one set *per shard* and is deliberately absent).
 
 The catalog entries and what each one stresses:
@@ -32,7 +32,7 @@ The catalog entries and what each one stresses:
 ``marketplace``
     Two-sided matching under churn (:mod:`repro.workloads.marketplace`):
     heavy ``retract``/``delete`` traffic drives tombstone sync on every
-    replicated backend.
+    hosted executor's replicas.
 ``adversarial``
     The merge-maximizer tournament (:mod:`repro.workloads.adversarial`):
     every arrival merges two live components, maximising cross-shard

@@ -25,7 +25,7 @@ class ScenarioRun:
 
     Everything here except ``seconds`` (and ``migrations``, which
     depends on placement) must be identical across shard counts,
-    backends and executors — that is the equivalence contract the
+    worker modes and executors — that is the equivalence contract the
     scenario tests assert.
     """
 

@@ -27,10 +27,9 @@ requests are cancelled (``retract`` — the lifecycle path least
 exercised at scale), rider rows are deleted after trips, and drivers
 re-zone or go offline (``delete`` + ``insert`` on ``Drivers``).  Every
 deletion writes a tombstone into the relation's mutation log, so
-replica sync — the in-memory replicated backend, the process
-executor's wire sync, and the TCP fabric's — runs its tombstone-tail
-and compaction-fallback paths continuously instead of only in targeted
-tests.  Dangling requests post to an ``offline…`` driver that never
+replica sync — the process executor's wire sync and the TCP fabric's —
+runs its tombstone-tail and compaction-fallback paths continuously
+instead of only in targeted tests.  Dangling requests post to an ``offline…`` driver that never
 arrives, so a stable population of never-resolvable queries keeps the
 pending set (and the flush sweeps) honest.
 """

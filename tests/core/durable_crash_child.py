@@ -31,7 +31,10 @@ from durable_testing import (  # noqa: E402 - path bootstrap above
     oracle_observables,
 )
 
-from repro.core.service import ShardedCoordinationService  # noqa: E402
+from repro.core.service import (  # noqa: E402
+    ServiceConfig,
+    ShardedCoordinationService,
+)
 from repro.db import DurabilityConfig  # noqa: E402
 
 
@@ -39,18 +42,17 @@ def main() -> int:
     durable_dir, seed, store, pace_ms = sys.argv[1:5]
     pace = float(pace_ms) / 1000.0
     stream = build_stream(int(seed))
+    durability = DurabilityConfig(
+        dir=Path(durable_dir),
+        # fsync="never" is the point: kill -9 durability comes from
+        # the unbuffered write() reaching the kernel, not fsync.
+        fsync="never",
+        snapshot_store=store,
+        # Small interval so crashes land in every compaction window.
+        snapshot_every=24,
+    )
     service = ShardedCoordinationService(
-        fresh_db(),
-        shards=2,
-        durability=DurabilityConfig(
-            dir=Path(durable_dir),
-            # fsync="never" is the point: kill -9 durability comes from
-            # the unbuffered write() reaching the kernel, not fsync.
-            fsync="never",
-            snapshot_store=store,
-            # Small interval so crashes land in every compaction window.
-            snapshot_every=24,
-        ),
+        fresh_db(), ServiceConfig(shards=2, durability=durability)
     )
     start = service.durable.journal_len
     # Byte-identity check at the crash point: the recovered state must

@@ -11,10 +11,13 @@ import random
 from collections import Counter
 from typing import List, Optional, Tuple
 
+import pytest
+
 from repro.core import (
     CoordinationEngine,
     EntangledQuery,
     QueryState,
+    ServiceConfig,
     ShardedCoordinationService,
 )
 from repro.errors import PreconditionError
@@ -24,6 +27,18 @@ from repro.workloads import partner_query
 
 DB_SIZE = 30
 USER_SPAN = 40
+
+#: The shards' two evaluation paths, for the worker-mode suites to
+#: parametrize over.  By default each engine memoizes per-component
+#: evaluation states and drops them when a body relation's data
+#: version moves; with the memo off every arrival re-evaluates from
+#: scratch.  Both must match the (memoizing) single-engine oracle, so
+#: a memo entry that survives an interleaved insert shows up as a
+#: divergence.
+EVALUATION_PATHS = [
+    pytest.param(ServiceConfig(), id="memoized"),
+    pytest.param(ServiceConfig(reuse_component_states=False), id="recomputed"),
+]
 
 
 def flight_query(user: str, partners: List[str]) -> EntangledQuery:
@@ -111,7 +126,8 @@ def replay_into_oracle(journal, db):
 
     The one journal-to-oracle interpreter shared by every fuzz suite —
     a new journal entry kind gets handled here once, so the concurrent
-    and backend fuzzes can never diverge in what they replay."""
+    and interleaved-insert fuzzes can never diverge in what they
+    replay."""
     engine = CoordinationEngine(db)
     resolutions = Counter()
 

@@ -1,7 +1,7 @@
 """Concurrent shard executor: equivalence, fuzz, and deadlock regression.
 
 The headline claim of the worker mode is *byte-identical semantics*:
-``ShardedCoordinationService(workers=N)`` must produce the same
+``ServiceConfig(workers=N)`` must produce the same
 coordinating sets — members and assignments — as a single
 :class:`CoordinationEngine` fed the same linearized stream.  This suite
 asserts that three ways:
@@ -12,9 +12,8 @@ asserts that three ways:
   retract / insert / flush streams, replayed after quiescence from the
   service's linearization journal into a single-engine oracle;
 
-both run under **both storage backends** (the shared locked store and
-the per-shard replicated store with versioned invalidation — see
-``repro.db.backend``); plus
+each on both evaluation paths (memoized component states and
+re-evaluation from scratch — see ``EVALUATION_PATHS``); plus
 * targeted regressions — an ``on_resolved`` callback that re-enters
   ``submit`` (must not deadlock a shard), handle ``wait``, least-loaded
   placement, the idle-component rebalancer, and the engine's
@@ -30,8 +29,11 @@ import pytest
 from repro.core import (
     CoordinationEngine,
     QueryState,
+    ServiceConfig,
     ShardedCoordinationService,
 )
+from repro.db import DatabaseBuilder
+from repro.db.stats import evaluation_cost
 from repro.errors import ConcurrencyError, PreconditionError
 from repro.networks import member_name
 from repro.workloads import members_database, partner_query
@@ -39,6 +41,7 @@ from repro.workloads.flights import user_name, worst_case_database
 
 from service_testing import (
     DB_SIZE,
+    EVALUATION_PATHS,
     assert_invariants,
     chosen_bytes,
     flight_query,
@@ -53,20 +56,20 @@ DRAIN_TIMEOUT = 60.0
 # ---------------------------------------------------------------------------
 # Blocking equivalence: workers=N against the single-engine oracle
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["shared", "replicated"])
+@pytest.mark.parametrize("path", EVALUATION_PATHS)
 @pytest.mark.parametrize("seed", range(3))
-def test_partner_workload_equivalence_with_workers(seed, backend):
+def test_partner_workload_equivalence_with_workers(seed, path):
     rng = random.Random(1000 + seed)
     db = members_database(size=DB_SIZE, seed=2012)
     engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
-    with ShardedCoordinationService(db, workers=4, backend=backend) as service:
+    with ShardedCoordinationService(db, path.evolve(workers=4)) as service:
         run_equivalent_streams(service, engine, partner_stream(rng, 70))
         assert service.drain(timeout=DRAIN_TIMEOUT)
 
 
-@pytest.mark.parametrize("backend", ["shared", "replicated"])
+@pytest.mark.parametrize("path", EVALUATION_PATHS)
 @pytest.mark.parametrize("seed", range(2))
-def test_flights_workload_equivalence_with_workers(seed, backend):
+def test_flights_workload_equivalence_with_workers(seed, path):
     rng = random.Random(2000 + seed)
     users = 24
     db = worst_case_database(num_flights=20, num_users=users)
@@ -87,7 +90,7 @@ def test_flights_workload_equivalence_with_workers(seed, backend):
                 ("submit",
                  flight_query(user_name(index), [user_name(p) for p in partners]))
             )
-    with ShardedCoordinationService(db, workers=4, backend=backend) as service:
+    with ShardedCoordinationService(db, path.evolve(workers=4)) as service:
         run_equivalent_streams(service, engine, events)
         assert service.drain(timeout=DRAIN_TIMEOUT)
 
@@ -102,7 +105,7 @@ def test_submit_many_equivalence_with_workers():
         partner_query(member_name(3), []),  # duplicate in batch: rejected
         partner_query(member_name(4), []),
     ]
-    with ShardedCoordinationService(db, workers=3) as service:
+    with ShardedCoordinationService(db, ServiceConfig(workers=3)) as service:
         service_handles = service.submit_many(batch)
         engine_handles = engine.submit_many(batch)
         for ours, theirs in zip(service_handles, engine_handles):
@@ -161,13 +164,13 @@ def _fuzz_client(service, thread_index, ops, errors):
         errors.append(error)
 
 
-@pytest.mark.parametrize("backend", ["shared", "replicated"])
-def test_multithreaded_fuzz_matches_single_engine_oracle(backend):
+@pytest.mark.parametrize("path", EVALUATION_PATHS)
+def test_multithreaded_fuzz_matches_single_engine_oracle(path):
     # Users 0..599 span the three clients' namespaces; most rows exist
     # up front (members_database covers 0..DB_SIZE-1), the rest arrive
     # via service.insert mid-stream.
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, workers=3, backend=backend)
+    service = ShardedCoordinationService(db, path.evolve(workers=3))
     service.journal = []
     resolutions = Counter()
 
@@ -220,8 +223,8 @@ def test_multithreaded_fuzz_matches_single_engine_oracle(backend):
         service.close()
 
 
-@pytest.mark.parametrize("backend", ["shared", "replicated"])
-def test_nowait_burst_matches_oracle(backend):
+@pytest.mark.parametrize("path", EVALUATION_PATHS)
+def test_nowait_burst_matches_oracle(path):
     db = members_database(size=DB_SIZE, seed=2012)
     oracle = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
     rng = random.Random(7)
@@ -230,7 +233,7 @@ def test_nowait_burst_matches_oracle(backend):
         name = member_name(i % 25)
         partners = [member_name(p) for p in rng.sample(range(25), k=rng.choice((0, 1, 2)))]
         queries.append(partner_query(name, partners))
-    with ShardedCoordinationService(db, workers=4, backend=backend) as service:
+    with ShardedCoordinationService(db, path.evolve(workers=4)) as service:
         service.journal = []
         for query in queries:
             try:
@@ -254,7 +257,7 @@ def test_on_resolved_callback_reenters_submit_without_deadlock():
     db = members_database(size=DB_SIZE, seed=2012)
     done = threading.Event()
     reentrant = []
-    with ShardedCoordinationService(db, workers=2) as service:
+    with ShardedCoordinationService(db, ServiceConfig(workers=2)) as service:
         handle = service.submit(
             partner_query(member_name(0), [member_name(100)])
         )
@@ -279,7 +282,7 @@ def test_on_resolved_callback_reenters_submit_without_deadlock():
 def test_service_level_callback_reenters_retract_without_deadlock():
     db = members_database(size=DB_SIZE, seed=2012)
     done = threading.Event()
-    with ShardedCoordinationService(db, workers=2) as service:
+    with ShardedCoordinationService(db, ServiceConfig(workers=2)) as service:
         service.submit(partner_query(member_name(1), [member_name(100)]))
 
         @service.on_resolved
@@ -301,7 +304,7 @@ def test_service_level_callback_reenters_retract_without_deadlock():
 # ---------------------------------------------------------------------------
 def test_handle_wait_blocks_until_resolution():
     db = members_database(size=DB_SIZE, seed=2012)
-    with ShardedCoordinationService(db, workers=2) as service:
+    with ShardedCoordinationService(db, ServiceConfig(workers=2)) as service:
         waiting = service.submit_nowait(
             partner_query(member_name(0), [member_name(100)])
         )
@@ -322,7 +325,7 @@ def test_handle_wait_blocks_until_resolution():
 # ---------------------------------------------------------------------------
 def test_least_loaded_placement_is_deterministic_and_even():
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=3)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=3))
     for i in range(9):
         service.submit(partner_query(member_name(i), [member_name(100 + i)]))
     assert service.shard_pending_counts() == (3, 3, 3)
@@ -332,9 +335,63 @@ def test_least_loaded_placement_is_deterministic_and_even():
     ]
 
 
+def _heavy_and_light_arrivals():
+    """A database with one large and one tiny relation, one waiting
+    query over the large one and four over the tiny one."""
+    attributes = ["name", "region", "interest", "value"]
+    db = (
+        DatabaseBuilder()
+        .table("Big", attributes)
+        .rows("Big", [(member_name(i), "r", "i", i) for i in range(1000)])
+        .table("Small", attributes)
+        .rows("Small", [(member_name(0), "r", "i", 0)])
+        .build()
+    )
+    heavy = partner_query(member_name(0), [member_name(900)], "Big")
+    lights = [
+        partner_query(member_name(10 + i), [member_name(500 + i)], "Small")
+        for i in range(4)
+    ]
+    return db, heavy, lights
+
+
+def test_placement_balances_cost_scores_not_pending_counts():
+    db, heavy, lights = _heavy_and_light_arrivals()
+    heavy_cost = evaluation_cost(db, heavy)
+    light_cost = evaluation_cost(db, lights[0])
+    assert heavy_cost > 3 * light_cost
+    service = ShardedCoordinationService(db, ServiceConfig(shards=2))
+    for query in [heavy, *lights]:
+        service.submit(query)
+    # Every light arrival lands on the cheaper shard: by pending count
+    # the split would be (3, 2), by cost it is (1, 4).
+    assert service.shard_pending_counts() == (1, 4)
+    assert service.shard_cost_scores() == (heavy_cost, 4 * light_cost)
+    assert_invariants(service)
+
+
+def test_rebalance_narrows_the_cost_gap_not_the_count_gap():
+    db, heavy, lights = _heavy_and_light_arrivals()
+    light_cost = evaluation_cost(db, lights[0])
+    service = ShardedCoordinationService(db, ServiceConfig(shards=2))
+    for query in [heavy, *lights]:
+        service.submit(query)
+    assert service.shard_pending_counts() == (1, 4)
+    # The counts differ by 3, but the cost gap is smaller than the
+    # heavy component's weight and moving a light query onto the heavy
+    # shard would widen it: nothing moves.
+    assert service.rebalance() == 0
+    assert service.shard_pending_counts() == (1, 4)
+    # Without the heavy query the gap is real, and rebalancing closes it.
+    service.retract(heavy.name)
+    assert service.rebalance() == 2
+    assert service.shard_cost_scores() == (2 * light_cost, 2 * light_cost)
+    assert_invariants(service)
+
+
 def test_rebalance_moves_idle_components_hot_to_cold():
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=2)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=2))
     # Six waiting singletons spread 3/3, then retract all of shard 1's.
     for i in range(6):
         service.submit(partner_query(member_name(i), [member_name(100 + i)]))
@@ -359,7 +416,7 @@ def test_rebalance_moves_idle_components_hot_to_cold():
 
 def test_opportunistic_rebalance_triggers_between_commands():
     db = members_database(size=200, seed=2012)
-    service = ShardedCoordinationService(db, shards=2)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=2))
     service.REBALANCE_INTERVAL = 8  # shrink the cadence for the test
     # Skew the shards: park waiting singletons, retract shard 1's share,
     # then keep submitting/retracting a ping-pong pair to tick the
@@ -385,7 +442,7 @@ def test_rebalance_skips_busy_components():
     # bookkeeping directly: mark a component busy and verify rebalance
     # refuses to move it.
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=2)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=2))
     for i in range(4):
         service.submit(partner_query(member_name(i), [member_name(100 + i)]))
     assert service.shard_pending_counts() == (2, 2)
@@ -433,7 +490,7 @@ def test_drain_and_close_from_callback_raise_instead_of_hanging():
     db = members_database(size=DB_SIZE, seed=2012)
     outcomes = []
     done = threading.Event()
-    with ShardedCoordinationService(db, workers=2) as service:
+    with ShardedCoordinationService(db, ServiceConfig(workers=2)) as service:
         handle = service.submit(
             partner_query(member_name(0), [member_name(100)])
         )
@@ -475,25 +532,25 @@ def test_partially_consumed_solutions_iterator_does_not_block_writes():
 
 def test_closed_service_rejects_operations():
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, workers=2)
+    service = ShardedCoordinationService(db, ServiceConfig(workers=2))
     service.close()
     service.close()  # idempotent
     with pytest.raises(ConcurrencyError):
         service.submit(partner_query(member_name(0), []))
 
 
-@pytest.mark.parametrize("backend", ["shared", "replicated"])
-def test_insert_barrier_orders_writes_after_admitted_evaluations(backend):
+@pytest.mark.parametrize("path", EVALUATION_PATHS)
+def test_insert_barrier_orders_writes_after_admitted_evaluations(path):
     # A nowait submit whose body row is missing stays pending even
     # though the row arrives "immediately" after: the insert barriers
     # behind the already-admitted evaluation, exactly like the serial
-    # order submit-then-insert.  A flush then completes it.  Under the
-    # replicated backend the insert additionally invalidates every
-    # shard replica, so the flush evaluates against the new row.
+    # order submit-then-insert.  A flush then completes it — on the
+    # memoized path only because the insert dropped the component's
+    # memoized (failed) evaluation state.
     absent = member_name(1000)
     db = members_database(size=DB_SIZE, seed=2012)
     oracle = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
-    with ShardedCoordinationService(db, workers=2, backend=backend) as service:
+    with ShardedCoordinationService(db, path.evolve(workers=2)) as service:
         query = partner_query(absent, [absent])
         service.submit_nowait(query)
         oracle.submit(query)

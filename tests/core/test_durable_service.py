@@ -3,7 +3,7 @@
 The contract under test (DESIGN.md §11): a service restarted from a
 durability directory is byte-identical — relations, pending pool in
 arrival order, per-query lifecycle states — to a service that never
-went down, for every backend/executor combination and for crashes at
+went down, for every worker-mode/executor combination and for crashes at
 arbitrary points, including a SIGKILL that tears the final WAL record.
 """
 
@@ -25,7 +25,7 @@ from durable_testing import (
     oracle_observables,
 )
 
-from repro.core.service import ShardedCoordinationService
+from repro.core.service import ServiceConfig, ShardedCoordinationService
 from repro.db import Database, DurabilityConfig
 from repro.errors import ConcurrencyError
 
@@ -33,10 +33,12 @@ CHILD = Path(__file__).resolve().parent / "durable_crash_child.py"
 
 #: Every data-plane combination the service supports.
 COMBOS = [
-    pytest.param(dict(shards=2), id="serial-shared"),
-    pytest.param(dict(workers=2), id="workers-shared"),
-    pytest.param(dict(workers=2, backend="replicated"), id="workers-replicated"),
-    pytest.param(dict(workers=2, executor="process"), id="workers-process"),
+    pytest.param(ServiceConfig(shards=2), id="serial-shared"),
+    pytest.param(ServiceConfig(workers=2), id="workers-shared"),
+    pytest.param(ServiceConfig(workers=3), id="workers3-shared"),
+    pytest.param(
+        ServiceConfig(workers=2, executor="process"), id="workers-process"
+    ),
 ]
 
 
@@ -46,11 +48,11 @@ def durable(tmp_path, **overrides) -> DurabilityConfig:
     return DurabilityConfig(**options)
 
 
-def run_prefix(config, stream, count, **service_kwargs):
-    """One service life: apply ``stream[:count]``, close, return what
-    it observed."""
+def run_prefix(config, stream, count, combo=ServiceConfig(shards=2)):
+    """One service life under ``combo``: apply ``stream[:count]``,
+    close, return what it observed."""
     service = ShardedCoordinationService(
-        fresh_db(), durability=config, **service_kwargs
+        fresh_db(), combo.evolve(durability=config)
     )
     try:
         for op in stream[:count]:
@@ -61,20 +63,20 @@ def run_prefix(config, stream, count, **service_kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Recovery equivalence across every backend/executor combination
+# Recovery equivalence across every worker-mode/executor combination
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("combo", COMBOS)
 def test_recovery_matches_oracle_across_combos(tmp_path, combo):
     config = durable(tmp_path, snapshot_every=16)
     stream = build_stream(seed=1207, length=60)
     cut = 50
-    first_life = run_prefix(config, stream, cut, **combo)
+    first_life = run_prefix(config, stream, cut, combo)
     assert first_life == oracle_observables(stream[:cut])
 
     # Second life recovers, must equal the oracle at the cut, then both
     # finish the stream and must agree at the end too.
     service = ShardedCoordinationService(
-        fresh_db(), durability=config, **combo
+        fresh_db(), combo.evolve(durability=config)
     )
     try:
         assert service.durable.journal_len == cut
@@ -91,9 +93,9 @@ def test_recovery_into_different_combo(tmp_path):
     durability is a layer under placement, not coupled to it."""
     config = durable(tmp_path)
     stream = build_stream(seed=42, length=40)
-    serial = run_prefix(config, stream, len(stream), shards=2)
+    serial = run_prefix(config, stream, len(stream))
     service = ShardedCoordinationService(
-        fresh_db(), durability=config, workers=3, backend="replicated"
+        fresh_db(), ServiceConfig(workers=3, durability=config)
     )
     try:
         assert observables(service) == serial
@@ -106,7 +108,7 @@ def test_recovery_into_different_combo(tmp_path):
 # ---------------------------------------------------------------------------
 def test_empty_directory_is_a_clean_boot(tmp_path):
     service = ShardedCoordinationService(
-        fresh_db(), shards=2, durability=durable(tmp_path)
+        fresh_db(), ServiceConfig(shards=2, durability=durable(tmp_path))
     )
     try:
         assert service.recovered is not None
@@ -122,7 +124,7 @@ def test_snapshot_with_zero_wal_suffix(tmp_path):
     config = durable(tmp_path)
     stream = build_stream(seed=7, length=30)
     service = ShardedCoordinationService(
-        fresh_db(), shards=2, durability=config
+        fresh_db(), ServiceConfig(shards=2, durability=config)
     )
     for op in stream:
         apply_op(service, op)
@@ -131,7 +133,7 @@ def test_snapshot_with_zero_wal_suffix(tmp_path):
     service.close()
 
     recovered = ShardedCoordinationService(
-        fresh_db(), shards=2, durability=config
+        fresh_db(), ServiceConfig(shards=2, durability=config)
     )
     try:
         state = recovered.recovered
@@ -146,7 +148,7 @@ def test_torn_final_wal_record_is_discarded(tmp_path):
     config = durable(tmp_path)
     stream = build_stream(seed=13, length=30)
     service = ShardedCoordinationService(
-        fresh_db(), shards=2, durability=config
+        fresh_db(), ServiceConfig(shards=2, durability=config)
     )
     for op in stream:
         apply_op(service, op)
@@ -158,7 +160,7 @@ def test_torn_final_wal_record_is_discarded(tmp_path):
         handle.write(b"\x00\x00\x00\x30EQ")  # length prefix + partial frame
 
     recovered = ShardedCoordinationService(
-        fresh_db(), shards=2, durability=config
+        fresh_db(), ServiceConfig(shards=2, durability=config)
     )
     try:
         assert recovered.recovered.torn_record_discarded
@@ -175,13 +177,13 @@ def test_recovery_into_preseeded_database(tmp_path):
     stream = build_stream(seed=3, length=30)
     # Stream seeding already inserted the base rows durably; build a
     # second life whose db was ALSO pre-seeded with the same rows.
-    run_prefix(config, stream, len(stream), shards=2)
+    run_prefix(config, stream, len(stream))
     preseeded = fresh_db()
     from durable_testing import seed_rows
 
     preseeded.insert_many("Members", seed_rows())
     service = ShardedCoordinationService(
-        preseeded, shards=2, durability=config
+        preseeded, ServiceConfig(shards=2, durability=config)
     )
     try:
         assert observables(service) == oracle_observables(stream)
@@ -193,7 +195,7 @@ def test_auto_checkpoint_compacts_the_wal(tmp_path):
     config = durable(tmp_path, snapshot_every=10)
     stream = build_stream(seed=9, length=80)
     service = ShardedCoordinationService(
-        fresh_db(), shards=2, durability=config
+        fresh_db(), ServiceConfig(shards=2, durability=config)
     )
     try:
         for op in stream:
@@ -210,7 +212,9 @@ def test_auto_checkpoint_compacts_the_wal(tmp_path):
 def test_closed_durable_service_releases_the_directory(tmp_path):
     config = durable(tmp_path)
     db = fresh_db()
-    service = ShardedCoordinationService(db, shards=2, durability=config)
+    service = ShardedCoordinationService(
+        db, ServiceConfig(shards=2, durability=config)
+    )
     service.close()
     with pytest.raises(ConcurrencyError):
         service.checkpoint()
@@ -220,7 +224,7 @@ def test_closed_durable_service_releases_the_directory(tmp_path):
     # And the directory can be reopened immediately (sqlite/file locks
     # released).
     ShardedCoordinationService(
-        fresh_db(), shards=2, durability=config
+        fresh_db(), ServiceConfig(shards=2, durability=config)
     ).close()
 
 

@@ -39,6 +39,7 @@ from repro.core import (
     Gateway,
     GatewayClient,
     GatewayError,
+    ServiceConfig,
     ShardedCoordinationService,
 )
 from repro.core.gateway import pack_frame, _checked_length
@@ -76,7 +77,7 @@ def no_leaked_gateway_state():
 
 def _service(**kwargs) -> ShardedCoordinationService:
     db = members_database(size=DB_SIZE, seed=2012)
-    return ShardedCoordinationService(db, workers=2, **kwargs)
+    return ShardedCoordinationService(db, ServiceConfig(workers=2, **kwargs))
 
 
 def _stalled_join(user: str) -> EntangledQuery:
@@ -297,7 +298,7 @@ def test_shutdown_op_is_gated_and_acknowledged():
 def test_probes_answered_while_workers_grind(executor):
     db = members_database(size=DB_SIZE, seed=2012)
     service = ShardedCoordinationService(
-        db, workers=2, executor=executor, mailbox_capacity=64
+        db, ServiceConfig(workers=2, executor=executor, mailbox_capacity=64)
     )
     try:
         # One long multi-component frame per shard (the batch admission

@@ -185,7 +185,7 @@ class CheckedEngine(CoordinationEngine):
         # entries the real run hits, and writes nothing the real run sees.
         cache = None if plan.cache is None else dict(plan.cache)
         expected = scc_coordinate_on_graph(
-            plan.db,
+            self.db,
             self._graph.restricted_to(plan.component),
             choose=self.choose,
             reuse_groundings=self.reuse_groundings,

@@ -1,10 +1,10 @@
 """Process-based shard executor: equivalence, fuzz, crash, and replay.
 
 The headline claim mirrors the worker-thread executor's:
-``ShardedCoordinationService(..., executor="process")`` — each shard's
-engine in a worker *process* with a private replica synced over the
-wire — must produce byte-identical outcomes to the serial service and
-the single engine.  Asserted by:
+``ShardedCoordinationService(db, ServiceConfig(executor="process"))``
+— each shard's engine in a worker *process* with a private replica
+synced over the wire — must produce byte-identical outcomes to the
+serial service and the single engine.  Asserted by:
 
 * deterministic equivalence streams on the partner and flights
   workloads (submits, retracts, spanning arrivals → cross-process
@@ -31,6 +31,7 @@ import pytest
 from repro.core import (
     CoordinationEngine,
     QueryState,
+    ServiceConfig,
     ShardedCoordinationService,
 )
 from repro.db import wire
@@ -64,7 +65,9 @@ def no_leaked_worker_processes():
 
 
 def process_service(db, **kwargs) -> ShardedCoordinationService:
-    return ShardedCoordinationService(db, executor="process", **kwargs)
+    return ShardedCoordinationService(
+        db, ServiceConfig(executor="process", **kwargs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +456,38 @@ def test_rebalance_moves_components_between_processes():
             assert handle.is_pending
 
 
+def test_control_lane_off_probes_over_the_data_lane():
+    # The latency benchmark's blocking baseline: shards get no second
+    # pipe, so a probe (like admission) queues on the data lane — the
+    # same answers, without the latency decoupling.
+    db = members_database(size=DB_SIZE, seed=2012)
+    with process_service(db, shards=2, control_lane=False) as service:
+        assert service.control_lane is False
+        assert not any(engine.control_lane for engine in service._engines)
+        service.submit(partner_query(member_name(0), [member_name(100)]))
+        home = service.shard_of(member_name(0))
+        assert service.probe(home) == (member_name(0),)
+        assert service.probe(1 - home) == ()
+        assert service.drain(timeout=DRAIN_TIMEOUT)
+
+
+def test_close_detaches_every_replica_write_listener():
+    # Each hosted shard gates its replica sync on write notifications
+    # from the authoritative store; a closed service must leave none
+    # behind, so later writes to the database cost it nothing.
+    db = members_database(size=DB_SIZE, seed=2012)
+    service = process_service(db, shards=2)
+    assert len(db._write_listeners) == 2
+    service.close()
+    assert db._write_listeners == []
+    assert db.insert("Members", (member_name(1000), "r", "i", 1))
+
+
 def test_process_executor_rejects_unserializable_configuration():
     db = members_database(size=DB_SIZE, seed=2012)
     with pytest.raises(PreconditionError):
         ShardedCoordinationService(
-            db, executor="process", choose=lambda sets: sets[0]
-        )
-    from repro.db import SharedBackend
-
-    with pytest.raises(PreconditionError):
-        ShardedCoordinationService(
-            db, executor="process", backend=SharedBackend(db)
+            db, ServiceConfig(executor="process", choose=lambda sets: sets[0])
         )
     with pytest.raises(PreconditionError):
-        ShardedCoordinationService(db, executor="fiber")
+        ShardedCoordinationService(db, ServiceConfig(executor="fiber"))

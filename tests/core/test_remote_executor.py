@@ -116,7 +116,6 @@ def test_partner_workload_equivalence_with_remote_workers(hosts, seed):
     db = members_database(size=DB_SIZE, seed=2012)
     engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
     with remote_service(db, hosts(3), workers=3) as service:
-        assert service.backend_name == "tcp-replicated"
         run_equivalent_streams(service, engine, partner_stream(rng, 50))
         assert service.drain(timeout=DRAIN_TIMEOUT)
 

@@ -3,15 +3,15 @@
 The scenario catalog's contract (DESIGN.md §14): a scenario stream's
 observables — which queries resolved, with whom, what stayed pending,
 and the final database contents — are identical whatever the service's
-shard count, storage backend, or executor.  This suite drives each
-scenario through the config matrix the acceptance criteria name
-(``backend=shared|replicated`` × ``executor=thread|process``) plus a
-single-engine oracle replay, and compares everything.
+shard count, worker mode, or executor.  This suite drives each
+scenario through a config matrix (serial, thread workers at two shard
+counts, process shards) plus a single-engine oracle replay, and
+compares everything.
 
 The marketplace fuzz at the bottom is the retract/delete-heavy
-tombstone exercise: every ``delete`` writes a tombstone the replicated
-backend's sync must replay, and the stream's churn keeps that path hot
-rather than touched once.
+tombstone exercise: every ``delete`` writes a tombstone the process
+shards' wire sync must replay, and the stream's churn keeps that path
+hot rather than touched once.
 """
 
 import random
@@ -37,12 +37,9 @@ SMOKE_SCALE = {
 }
 
 CONFIGS = [
-    ("serial-shared", ServiceConfig(shards=4, backend="shared")),
-    ("serial-replicated", ServiceConfig(shards=4, backend="replicated")),
-    (
-        "workers-replicated",
-        ServiceConfig(shards=4, workers=2, backend="replicated"),
-    ),
+    ("serial", ServiceConfig(shards=4)),
+    ("workers-2", ServiceConfig(workers=2)),
+    ("workers-4", ServiceConfig(workers=4)),
     (
         "process",
         ServiceConfig(shards=2, workers=2, executor="process"),
@@ -125,7 +122,7 @@ def test_scenario_is_byte_identical_across_configs(name):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_marketplace_tombstone_fuzz_on_replicated_backend(seed):
+def test_marketplace_tombstone_fuzz_on_process_executor(seed):
     """Retract/delete-heavy streams keep replica tombstone sync hot."""
     rng = random.Random(seed)
     requests = 150 + rng.randrange(100)
@@ -140,7 +137,7 @@ def test_marketplace_tombstone_fuzz_on_replicated_backend(seed):
     resolutions, pending, _, rows = observables(
         db,
         config_events,
-        ServiceConfig(shards=4, workers=2, backend="replicated"),
+        ServiceConfig(workers=2, executor="process"),
     )
     assert resolutions == want_resolutions
     assert pending == want_pending == ()

@@ -6,7 +6,8 @@ onto independent engine shards must be unobservable:
 single :class:`CoordinationEngine` on identical submit/retract streams
 and must produce identical coordinating sets — same members *and* same
 assignments — at every step, on both the partner (Members) and flights
-workloads.  Routing internals (the one-component-one-shard invariant,
+workloads, with the shards driven serially from the calling thread and
+on one worker thread each.  Routing internals (the one-component-one-shard invariant,
 migration on spanning arrivals, deterministic default placement) are
 asserted separately.
 """
@@ -20,6 +21,7 @@ import pytest
 from repro.core import (
     CoordinationEngine,
     QueryState,
+    ServiceConfig,
     ShardedCoordinationService,
 )
 from repro.errors import PreconditionError
@@ -36,28 +38,39 @@ from service_testing import (
     run_equivalent_streams as _run_equivalent_streams,
 )
 
+DRAIN_TIMEOUT = 60.0
+#: How the shards are driven: serially from the calling thread, or
+#: one worker thread per shard.
+MODES = ("serial", "workers")
 
-@pytest.mark.parametrize("backend", ["shared", "replicated"])
+
+def _config(mode: str, shards: int) -> ServiceConfig:
+    if mode == "workers":
+        return ServiceConfig(workers=shards)
+    return ServiceConfig(shards=shards)
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("shards", [2, 3, 5])
 @pytest.mark.parametrize("seed", range(4))
-def test_partner_workload_equivalence(shards, seed, backend):
+def test_partner_workload_equivalence(shards, seed, mode):
     rng = random.Random(seed)
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=shards, backend=backend)
     engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
     # Duplicate submissions in the stream are themselves part of the
     # equivalence check: both ends must reject them identically.
-    _run_equivalent_streams(service, engine, _partner_stream(rng, 70))
+    with ShardedCoordinationService(db, _config(mode, shards)) as service:
+        _run_equivalent_streams(service, engine, _partner_stream(rng, 70))
+        assert service.drain(timeout=DRAIN_TIMEOUT)
 
 
-@pytest.mark.parametrize("backend", ["shared", "replicated"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize("seed", range(3))
-def test_flights_workload_equivalence(shards, seed, backend):
+def test_flights_workload_equivalence(shards, seed, mode):
     rng = random.Random(100 + seed)
     users = 24
     db = worst_case_database(num_flights=20, num_users=users)
-    service = ShardedCoordinationService(db, shards=shards, backend=backend)
     engine = CoordinationEngine(
         worst_case_database(num_flights=20, num_users=users)
     )
@@ -80,12 +93,14 @@ def test_flights_workload_equivalence(shards, seed, backend):
                     ),
                 )
             )
-    _run_equivalent_streams(service, engine, events)
+    with ShardedCoordinationService(db, _config(mode, shards)) as service:
+        _run_equivalent_streams(service, engine, events)
+        assert service.drain(timeout=DRAIN_TIMEOUT)
 
 
 def test_submit_many_equivalence():
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=3)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=3))
     engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
     batch = [
         partner_query(member_name(1), [member_name(2)]),
@@ -108,7 +123,7 @@ def test_flush_drain_reaches_single_engine_fixpoint():
     """Per-shard flush retires up to one set per shard per call (the
     documented deviation), but draining reaches the same final state."""
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=3)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=3))
     engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
 
     # Components whose bodies fail now (missing Members rows).
@@ -142,7 +157,7 @@ def test_flush_drain_reaches_single_engine_fixpoint():
 
 def test_spanning_arrival_migrates_smaller_into_larger():
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=4)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=4))
     # Least-loaded placement spreads edge-free arrivals deterministically:
     # the first two waiting queries land on shards 0 and 1.
     a, b = member_name(0), member_name(1)
@@ -161,7 +176,7 @@ def test_spanning_arrival_migrates_smaller_into_larger():
 
 def test_handle_identity_survives_migration():
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=4)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=4))
     states = []
     a, b = member_name(0), member_name(1)
     ha = service.submit(partner_query(a, [member_name(100)]))
@@ -178,7 +193,7 @@ def test_handle_identity_survives_migration():
 
 def test_service_wide_duplicate_rejected():
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=3)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=3))
     a = member_name(0)
     service.submit(partner_query(a, [member_name(100)]))
     with pytest.raises(PreconditionError):
@@ -187,12 +202,14 @@ def test_service_wide_duplicate_rejected():
     assert service.status(a) is QueryState.PENDING
 
 
-def test_single_shard_degenerates_to_engine():
+@pytest.mark.parametrize("mode", MODES)
+def test_single_shard_degenerates_to_engine(mode):
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=1)
     engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
     rng = random.Random(7)
-    _run_equivalent_streams(service, engine, _partner_stream(rng, 40))
+    with ShardedCoordinationService(db, _config(mode, 1)) as service:
+        _run_equivalent_streams(service, engine, _partner_stream(rng, 40))
+        assert service.drain(timeout=DRAIN_TIMEOUT)
     assert service.migrations == 0
 
 
@@ -201,7 +218,7 @@ def test_submit_many_survives_cross_shard_migration_of_batch_member():
     member's component to another shard; evaluation must group by the
     shard holding each query at evaluation time, not admission time."""
     db = members_database(size=DB_SIZE, seed=2012)
-    service = ShardedCoordinationService(db, shards=2)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=2))
     engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
 
     # Pre-seed shard 0 with a two-query waiting component {a, b}: the
@@ -238,7 +255,6 @@ def test_closed_service_is_freed_without_the_cycle_collector(workers):
     """Nothing the service owns points back at it: once closed and
     dropped, reference counting alone frees the service, its engines
     and its database (the collector may be off, or run rarely)."""
-    from repro.core import ServiceConfig
 
     def run():
         db = members_database(size=DB_SIZE, seed=2012)
@@ -271,60 +287,58 @@ def test_closed_service_is_freed_without_the_cycle_collector(workers):
 
 
 # ---------------------------------------------------------------------------
-# ServiceConfig: the typed configuration surface and the kwargs
-# deprecation path (both must construct identical services)
+# ServiceConfig: the one construction surface
 # ---------------------------------------------------------------------------
 class TestServiceConfig:
     def _db(self):
         return members_database(size=DB_SIZE, seed=2012)
 
     def test_config_object_constructs_without_warnings(self, recwarn):
-        from repro.core import ServiceConfig
-
-        config = ServiceConfig(shards=3, backend="replicated")
+        config = ServiceConfig(shards=3)
         with ShardedCoordinationService(self._db(), config) as service:
             assert service.shard_count == 3
             assert service.config is config
-        deprecations = [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-        assert not deprecations
+        assert not recwarn.list
 
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-            service = ShardedCoordinationService(self._db(), shards=3)
-        with service:
-            assert service.shard_count == 3
+    def test_keyword_options_raise_type_error(self):
+        with pytest.raises(TypeError):
+            ShardedCoordinationService(self._db(), shards=3)
 
-    def test_legacy_positional_shards_still_works(self):
-        with ShardedCoordinationService(self._db(), 3) as service:
-            assert service.shard_count == 3
+    def test_non_config_second_argument_rejected(self):
+        with pytest.raises(PreconditionError, match="ServiceConfig"):
+            ShardedCoordinationService(self._db(), 3)
 
-    def test_config_and_kwargs_together_rejected(self):
-        from repro.core import ServiceConfig
-
-        with pytest.raises(PreconditionError):
+    def test_control_lane_off_rejected_on_thread_executor(self):
+        # Thread shards always have their in-process control lane; the
+        # option only exists for hosted shards.
+        with pytest.raises(PreconditionError, match="control_lane"):
             ShardedCoordinationService(
-                self._db(), ServiceConfig(), shards=2
+                self._db(), ServiceConfig(control_lane=False)
+            )
+        with pytest.raises(PreconditionError, match="control_lane"):
+            ShardedCoordinationService(
+                self._db(), ServiceConfig(workers=2, control_lane=False)
             )
 
-    def test_unknown_kwarg_rejected_with_field_list(self):
-        with pytest.raises(PreconditionError, match="remote_shards"):
-            ShardedCoordinationService(self._db(), shard_count=2)
-
     def test_evolve_returns_updated_frozen_copy(self):
-        from repro.core import ServiceConfig
-
         base = ServiceConfig(shards=2)
-        grown = base.evolve(shards=4, backend="replicated")
+        grown = base.evolve(shards=4, workers=2)
         assert (base.shards, grown.shards) == (2, 4)
-        assert grown.backend == "replicated"
+        assert (base.workers, grown.workers) == (None, 2)
         with pytest.raises(Exception):
             grown.shards = 5  # frozen
 
-    def test_remote_executor_requires_addresses(self):
-        from repro.core import ServiceConfig
+    @pytest.mark.parametrize("option", ["backend", "placement"])
+    def test_removed_options_are_not_fields(self, option):
+        # The shared store is the one in-process read path and cost
+        # scores the one placement policy: naming either old option is
+        # an error, not a silently ignored setting.
+        with pytest.raises(TypeError, match=option):
+            ServiceConfig(**{option: "replicated"})
+        with pytest.raises(TypeError, match=option):
+            ServiceConfig().evolve(**{option: "pending"})
 
+    def test_remote_executor_requires_addresses(self):
         with pytest.raises(PreconditionError, match="remote"):
             ShardedCoordinationService(
                 self._db(), ServiceConfig(executor="remote")

@@ -5,12 +5,9 @@ The toggles exist so the ablation matrix can price each feature
 feature changes counters and cost, never answers.
 """
 
-import pytest
-
 from repro.core import ServiceConfig, ShardedCoordinationService
 from repro.db import Database
 from repro.db.query import ConjunctiveQuery
-from repro.errors import PreconditionError
 from repro.logic import Atom, var
 
 
@@ -98,10 +95,6 @@ class TestCompositeIndexToggle:
 
 
 class TestServiceConfigSurface:
-    def test_placement_is_validated(self):
-        with pytest.raises(PreconditionError):
-            ServiceConfig(placement="round-robin")
-
     def test_none_inherits_database_settings(self):
         db = _db()
         db.configure(plan_cache=False)
@@ -122,10 +115,3 @@ class TestServiceConfigSurface:
             assert db.composite_indexes_enabled is False
         finally:
             service.close()
-
-    def test_pending_placement_accepted(self):
-        db = _db()
-        service = ShardedCoordinationService(
-            db, ServiceConfig(shards=2, placement="pending")
-        )
-        service.close()

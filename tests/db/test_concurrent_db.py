@@ -10,8 +10,8 @@ stress the facade from reader and writer threads at once.
 import threading
 import time
 
-from repro.concurrency import OwnedLock, RWLock
-from repro.db import ConjunctiveQuery, DatabaseBuilder
+from repro.concurrency import NullRWLock, OwnedLock, RWLock
+from repro.db import ConjunctiveQuery, Database, DatabaseBuilder
 from repro.logic import Atom, Variable
 
 
@@ -191,3 +191,13 @@ def test_data_versions_advance_monotonically_under_writes():
     after = db.data_versions()
     assert after["Flights"] == before["Flights"] + 1
     assert db.data_version() == sum(after.values())
+
+
+def test_null_rwlock_is_a_noop_with_rwlock_shape():
+    lock = NullRWLock()
+    with lock.read():
+        with lock.write():  # nesting never deadlocks; nothing is tracked
+            assert lock.read_count == 0
+    db = Database(synchronized=False)
+    assert isinstance(db.rw, NullRWLock)
+    assert isinstance(Database().rw, RWLock)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import ConjunctiveQuery, Database, DatabaseBuilder, Schema, unary_boolean_database
+from repro.db.schema import RelationSchema
 from repro.errors import MalformedQueryError, SchemaError, UnknownRelationError
 from repro.logic import Atom, var
 
@@ -104,3 +105,45 @@ class TestConjunctiveQueryType:
     def test_str(self):
         assert str(ConjunctiveQuery([])) == "⊤"
         assert "F" in str(ConjunctiveQuery([Atom("F", [1])]))
+
+
+class TestWriteListeners:
+    """Hosted-shard proxies gate replica sync on these notifications."""
+
+    def _db(self):
+        db = Database()
+        db.create_relation("Flights", ["flightId", "destination"])
+        db.insert("Flights", (1, "a"))
+        return db
+
+    def test_fire_once_per_data_changing_facade_write(self):
+        db = self._db()
+        fired = []
+        db.add_write_listener(lambda: fired.append(1))
+        assert not db.insert("Flights", (1, "a"))  # duplicate: no change
+        assert fired == []
+        db.insert("Flights", (2, "b"))
+        db.insert_many("Flights", [(3, "c"), (4, "d")])  # one batch, one call
+        db.insert_many("Flights", [(3, "c")])  # all duplicates: no change
+        assert len(fired) == 2
+        db.delete("Flights", (4, "d"))
+        db.delete("Flights", (4, "d"))  # absent: no change
+        assert len(fired) == 3
+
+    def test_both_ddl_paths_fire(self):
+        db = self._db()
+        fired = []
+        db.add_write_listener(lambda: fired.append(1))
+        db.create_relation("Trains", ["trainId", "destination"])
+        db.attach_relation(RelationSchema("Boats", ["boatId", "destination"]))
+        assert len(fired) == 2
+
+    def test_removed_listener_stops_firing(self):
+        db = self._db()
+        fired = []
+        listener = lambda: fired.append(1)  # noqa: E731
+        db.add_write_listener(listener)
+        db.remove_write_listener(listener)
+        db.remove_write_listener(listener)  # idempotent
+        db.insert("Flights", (2, "b"))
+        assert fired == []

@@ -176,7 +176,7 @@ def test_plan_cache_stays_correct_across_inserts(data, query, extra):
 def test_independent_instances_enumerate_identically(data, query):
     """Two databases built from the same data (independent plan caches,
     different compile times) must yield the same solutions in the same
-    order — the determinism the replicated backends rely on."""
+    order — the determinism hosted shards' replicas rely on."""
     new_row = next(iter(sorted(data["A"])), (0, 0))
     warm = _build_db(data)
     list(warm.solutions(query))  # compile early on one instance only

@@ -84,16 +84,26 @@ class TestCompositeIndexes:
         assert flights._composites[(0, 1)] is bucket
         assert list(flights.match({0: 1, 1: "Athens"})) == [(1, "Athens")]
 
-    def test_composite_maintained_through_replicate_from(self, flights):
-        replica = Relation(RelationSchema("F", ["id", "dest"], key="id"))
-        replica.replicate_from(flights)
-        assert replica.count_match({0: 2, 1: "Paris"}) == 1  # builds composite
-        flights.insert((4, "Rome"))
-        flights.insert((5, "Rome"))
-        assert replica.replicate_from(flights) == 2
-        assert list(replica.match({0: 4, 1: "Rome"})) == [(4, "Rome")]
-        assert replica.count_match({0: 5, 1: "Rome"}) == 1
-        assert list(replica.scan()) == list(flights.scan())
+    def test_composite_maintained_through_wire_sync(self):
+        from repro.db import Database, wire
+
+        source = Database()
+        source.create_relation("F", ["id", "dest"], key="id")
+        source.insert_many("F", [(1, "Paris"), (2, "Paris"), (3, "Athens")])
+        replica = Database(synchronized=False)
+        payload, stamps = wire.build_sync(source, {})
+        wire.apply_sync(replica, payload)
+        mirror = replica.relation("F")
+        assert mirror.count_match({0: 2, 1: "Paris"}) == 1  # builds composite
+        bucket = mirror._composites[(0, 1)]
+        source.insert("F", (4, "Rome"))
+        source.insert("F", (5, "Rome"))
+        payload, _ = wire.build_sync(source, stamps)
+        assert wire.apply_sync(replica, payload) == 2
+        assert mirror._composites[(0, 1)] is bucket  # maintained, not rebuilt
+        assert list(mirror.match({0: 4, 1: "Rome"})) == [(4, "Rome")]
+        assert mirror.count_match({0: 5, 1: "Rome"}) == 1
+        assert list(mirror.scan()) == list(source.relation("F").scan())
 
     def test_count_match_equals_match_stream_length(self, flights):
         flights.insert((4, "Paris"))
@@ -139,7 +149,7 @@ class TestEpochCaches:
 
 
 class TestDelete:
-    """Deletion: set semantics, tombstone log, compaction fallback."""
+    """Deletion: set semantics, tombstone log, compaction."""
 
     def test_delete_removes_and_reports(self, flights):
         assert flights.delete((2, "Paris"))
@@ -180,31 +190,44 @@ class TestDelete:
         assert len(relation.row_tail(relation.log_start)) <= _COMPACT_KEEP
 
     def test_compacted_tail_forces_snapshot_fallback(self):
+        from repro.db import Database, wire
         from repro.errors import PreconditionError
 
-        source = Relation(RelationSchema("R", ["v"]))
-        replica = Relation(RelationSchema("R", ["v"]))
-        replica.replicate_from(source)
+        source = Database()
+        source.create_relation("R", ["v"])
+        replica = Database(synchronized=False)
+        payload, stamps = wire.build_sync(source, {})
+        wire.apply_sync(replica, payload)
         for i in range(500):
-            source.insert((i,))
+            source.insert("R", (i,))
             if i % 2 == 0:
-                source.delete((i,))
-        assert source.log_start > 0
+                source.delete("R", (i,))
+        relation = source.relation("R")
+        assert relation.log_start > 0
         with pytest.raises(PreconditionError):
-            source.row_tail(0)
-        # The replica (at epoch 0) still converges via reset_to.
-        replica.replicate_from(source)
-        assert list(replica.scan()) == list(source.scan())
-        assert replica.write_epoch == source.write_epoch
+            relation.row_tail(0)
+        # The replica (at epoch 0) still converges via a reset record.
+        payload, _ = wire.build_sync(source, stamps)
+        assert [record.get("reset") for record in payload["relations"]] == [True]
+        wire.apply_sync(replica, payload)
+        mirror = replica.relation("R")
+        assert list(mirror.scan()) == list(relation.scan())
+        assert mirror.write_epoch == relation.write_epoch
 
     def test_incremental_tombstone_replication_is_byte_identical(self):
-        source = Relation(RelationSchema("R", ["a", "b"]))
-        replica = Relation(RelationSchema("R", ["a", "b"]))
-        source.insert_many([(i, i % 3) for i in range(10)])
-        replica.replicate_from(source)
-        source.delete((4, 1))
-        source.insert((100, 0))
-        source.delete((7, 1))
-        applied = replica.replicate_from(source)
-        assert applied == 3
-        assert list(replica.scan()) == list(source.scan())
+        from repro.db import Database, wire
+
+        source = Database()
+        source.create_relation("R", ["a", "b"])
+        source.insert_many("R", [(i, i % 3) for i in range(10)])
+        replica = Database(synchronized=False)
+        payload, stamps = wire.build_sync(source, {})
+        wire.apply_sync(replica, payload)
+        source.delete("R", (4, 1))
+        source.insert("R", (100, 0))
+        source.delete("R", (7, 1))
+        payload, _ = wire.build_sync(source, stamps)
+        assert wire.apply_sync(replica, payload) == 3
+        assert list(replica.relation("R").scan()) == list(
+            source.relation("R").scan()
+        )

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CoordinatingSet, CoordinationResult, EntangledQuery
-from repro.db import CoordinationStats, Database, DatabaseBuilder, RelationSchema, wire
+from repro.db import (
+    ConjunctiveQuery,
+    CoordinationStats,
+    Database,
+    DatabaseBuilder,
+    RelationSchema,
+    wire,
+)
 from repro.errors import WireError
 from repro.logic import Atom, Constant, Variable
 from repro.workloads import partner_query
@@ -327,6 +334,72 @@ def test_sync_detects_desynced_replica():
     payload, _ = wire.build_sync(source, {"Flights": 2, "Empty": 0})
     with pytest.raises(WireError):
         wire.apply_sync(replica, payload)
+
+
+def test_synced_replica_evaluates_identically():
+    source = (
+        DatabaseBuilder()
+        .table("Flights", ["flightId", "destination"], key="flightId")
+        .rows("Flights", [(i, f"city{i % 3}") for i in range(20)])
+        .build()
+    )
+    replica = Database(synchronized=False)
+    payload, _ = wire.build_sync(source, {})
+    wire.apply_sync(replica, wire.loads(wire.dumps(payload)))
+    query = ConjunctiveQuery((Atom("Flights", [Variable("f"), "city1"]),))
+    assert replica.first_solution(query) == source.first_solution(query)
+    assert list(replica.solutions(query)) == list(source.solutions(query))
+    assert replica.domain() == source.domain()
+
+
+def test_sync_ships_only_the_changed_relations_tail():
+    source = (
+        DatabaseBuilder()
+        .table("Flights", ["flightId", "destination"], key="flightId")
+        .table("Hotels", ["hotelId", "city"], key="hotelId")
+        .rows("Flights", [(i, "z") for i in range(50)])
+        .rows("Hotels", [(i, "z") for i in range(50)])
+        .build()
+    )
+    replica = Database(synchronized=False)
+    payload, stamps = wire.build_sync(source, {})
+    assert wire.apply_sync(replica, payload) == 100
+    source.insert("Hotels", (50, "q"))  # one relation, one row
+    payload, _ = wire.build_sync(source, stamps)
+    assert [r["schema"]["name"] for r in payload["relations"]] == ["Hotels"]
+    assert wire.apply_sync(replica, payload) == 1
+    assert replica.sizes() == source.sizes()
+
+
+def test_writes_that_change_nothing_build_no_payload():
+    source = _authoritative()
+    _, stamps = wire.build_sync(source, {})
+    assert not source.insert("Flights", (101, "Zurich"))  # duplicate
+    assert source.insert_many("Flights", [(102, "Paris")]) == 0
+    assert not source.delete("Flights", (999, "Nowhere"))  # absent
+    payload, unchanged = wire.build_sync(source, stamps)
+    assert payload is None and unchanged == stamps
+
+
+@pytest.mark.parametrize("ddl", ["create_relation", "attach_relation"])
+def test_relation_declared_after_the_first_sync_reaches_the_replica(ddl):
+    # Both declaration paths must reach the replica: a query over the
+    # new relation before any row exists sees it empty, exactly like
+    # the source, instead of raising UnknownRelationError.
+    source = _authoritative()
+    replica = Database(synchronized=False)
+    payload, stamps = wire.build_sync(source, {})
+    wire.apply_sync(replica, payload)
+    if ddl == "create_relation":
+        source.create_relation("Boats", ["boatId", "destination"])
+    else:
+        source.attach_relation(RelationSchema("Boats", ["boatId", "destination"]))
+    payload, _ = wire.build_sync(source, stamps)
+    assert wire.apply_sync(replica, payload) == 0
+    assert "Boats" in replica
+    query = ConjunctiveQuery((Atom("Boats", [Variable("b"), "Zurich"]),))
+    assert replica.first_solution(query) is None
+    assert source.first_solution(query) is None
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,14 @@ class TestOnline:
         assert "satisfied {solo}" in out
         assert "done: 0 pending" in out
 
+    def test_backend_flag_is_a_usage_error(self, db_file, stream_file, capsys):
+        # The shared store is the only in-process read path; the old
+        # backend selector must fail loudly, not be silently ignored.
+        with pytest.raises(SystemExit) as info:
+            main(["online", db_file, stream_file, "--backend", "replicated"])
+        assert info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_unsafe_submit_is_rejected_not_fatal(self, db_file, tmp_path, capsys):
         path = tmp_path / "unsafe.ops"
         path.write_text(
@@ -320,6 +328,12 @@ class TestScenario:
         out = capsys.readouterr().out
         assert "marketplace (scale 40, seed 2012):" in out
         assert "0 pending" in out
+
+    def test_backend_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["scenario", "keyword", "--backend", "replicated"])
+        assert info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_ablation_toggles_accepted(self, capsys):
         assert main(
