@@ -202,6 +202,43 @@ class SeedGraph:
             graph.add_edge(edge.source, edge.target)
         return SeedGraph(queries, standardized, edges, graph)
 
+    def survivors(self, names) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The pre-PR preprocessing fixpoint: a scan of every extended
+        edge to count each postcondition's usable heads, then the
+        removal worklist (the ``preprocess`` of the seed)."""
+        keep = [n for n in dict.fromkeys(names) if n in self.queries]
+        alive: Set[str] = set(keep)
+        edge_count: Dict[Tuple[str, int], int] = {}
+        incoming: Dict[str, List[Tuple[str, int]]] = {name: [] for name in alive}
+        for edge in self.extended_edges:
+            if edge.source not in alive or edge.target not in alive:
+                continue
+            key = (edge.source, edge.post_index)
+            edge_count[key] = edge_count.get(key, 0) + 1
+            incoming[edge.target].append(key)
+
+        worklist: List[str] = []
+        for name in keep:
+            for pi in range(len(self.queries[name].postconditions)):
+                if edge_count.get((name, pi), 0) == 0:
+                    worklist.append(name)
+                    break
+
+        removed: List[str] = []
+        while worklist:
+            name = worklist.pop()
+            if name not in alive:
+                continue
+            alive.discard(name)
+            removed.append(name)
+            for key in incoming[name]:
+                if key[0] not in alive:
+                    continue
+                edge_count[key] -= 1
+                if edge_count[key] == 0:
+                    worklist.append(key[0])
+        return tuple(n for n in keep if n in alive), tuple(removed)
+
     def __len__(self):
         return len(self.queries)
 

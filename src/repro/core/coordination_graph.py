@@ -179,9 +179,8 @@ class ArrivalProbe:
     new_edges: Tuple[ExtendedEdge, ...]
     violations: Tuple[Tuple[str, int, int], ...]
     # Origin stamp: the core object and its version at probe time.
-    # ``with_arrival`` recomputes the probe unless both still match —
-    # version numbers alone are per-core counters and may coincide
-    # across unrelated graphs.
+    # ``with_arrival`` recomputes the probe, and ``probe(reuse=...)``
+    # declines it, unless both still match.
     base_version: int
     base_core: object
 
@@ -373,14 +372,26 @@ class CoordinationGraph:
             graph = graph.with_arrival(probe)
         return graph
 
-    def probe(self, query: EntangledQuery) -> ArrivalProbe:
+    def probe(
+        self, query: EntangledQuery, reuse: Optional[ArrivalProbe] = None
+    ) -> ArrivalProbe:
         """The edges and safety impact of one prospective arrival.
 
         O(candidate pairs) via the head/postcondition indexes; the
         receiver is not modified, so a rejected arrival needs no
-        rollback.  Raises for a duplicate name.
+        rollback.  Raises for a duplicate name.  ``reuse`` is an earlier
+        probe, returned as it is when it was taken for this very query
+        object on this very graph state; any mutation in between (an
+        arrival, an adoption, a deletion) forces a fresh probe.
         """
+        if reuse is not None and reuse.query is query and self._probed_here(reuse):
+            return reuse
         return self._probe(query, include_self=True)
+
+    def _probed_here(self, probe: ArrivalProbe) -> bool:
+        # Version numbers alone are per-core counters and may coincide
+        # across unrelated graphs, so the core must match too.
+        return probe.base_core is self._view() and probe.base_version == self._version
 
     def _probe(self, query: EntangledQuery, include_self: bool) -> ArrivalProbe:
         core = self._view()
@@ -439,10 +450,9 @@ class CoordinationGraph:
         its pre-arrival state.  A probe taken from a different graph
         state is recomputed (probes are cheap and side-effect free).
         """
-        core = self._view()
-        if probe.base_core is not core or probe.base_version != self._version:
+        if not self._probed_here(probe):
             probe = self.probe(probe.query)
-            core = self._core
+        core = self._core
         name = probe.query.name
         core.version += 1
         token = core.version

@@ -55,11 +55,18 @@ pending-set size:
   and the graph's atom indexes tell live entries from stale ones by a
   per-admission token, so re-admitting the same query object is safe;
 * per-SCC evaluation states (substitution + grounding) are memoized
-  *across arrivals*, keyed by component membership and per-relation
-  database version stamps (:meth:`~repro.db.Database.data_versions`),
-  so re-evaluating a grown component re-issues database queries only
-  for new or merged sub-components, and a write to a relation no
-  pending body mentions evicts nothing;
+  *across arrivals*, keyed by component membership, validated by the
+  content of the reachable closure they were computed under, and
+  stamped with per-relation database version stamps
+  (:meth:`~repro.db.Database.data_versions`), so re-evaluating a grown
+  component re-issues database queries only for new or merged
+  sub-components, a write to a relation no pending body mentions
+  evicts nothing, and a retired query that returns with the same
+  content (an owner re-submitted every sweep) finds the states of the
+  components waiting on it intact;
+* the routing probe the sharded service takes with
+  :meth:`incident_pending` is reused by the admission that follows,
+  unless the graph changed in between;
 * a satisfied coordinating set (or a retracted query) is deleted in
   O(its component) via
   :meth:`~repro.core.coordination_graph.CoordinationGraph.discard_queries`,
@@ -86,7 +93,7 @@ from ..concurrency import OwnedLock
 from ..db import CoordinationStats, Database
 from ..errors import ConcurrencyError, PreconditionError
 from ..graphs import UnionFind
-from .coordination_graph import CoordinationGraph
+from .coordination_graph import ArrivalProbe, CoordinationGraph
 from .lifecycle import (
     QueryHandle,
     QueryState,
@@ -106,22 +113,18 @@ from .scc_coordination import (
 class _StateCache(dict):
     """A :data:`ComponentCache` dict with inverted name and relation indexes.
 
-    Retirement eviction must drop every entry whose stored closure
-    touches a deleted query; a plain dict forces an O(cache) scan per
-    retirement, which would break the engine's O(component) bound on
-    churn-heavy read-only streams.  The name index makes
+    Retirement eviction must find the entries of deleted queries; a
+    plain dict forces an O(cache) scan per retirement, which would break
+    the engine's O(component) bound on churn-heavy read-only streams.
+    The name index (every name of each entry's stored closure) makes
     :meth:`keys_touching` proportional to the affected entries only.
 
     Database-write eviction is finer still: each entry is indexed by
-    the *body relations* of its closure's queries (resolved through the
-    engine's pending pool at insertion time), so an insert into one
-    relation evicts only the entries whose evaluation could observe it
-    — see :meth:`keys_touching_relations`.  An entry whose queries
-    cannot be resolved (not pending at insertion time, which no current
-    caller produces) is indexed as a *wildcard* and evicted on any
-    write, keeping the fallback conservative.  The cache holds the pool
-    dict itself, not the engine, so the two form no reference cycle and
-    a dropped engine is freed without the cycle collector.
+    the *body relations* of the closure queries it stores, so an insert
+    into one relation evicts only the entries whose evaluation could
+    observe it — see :meth:`keys_touching_relations`.  Entries whose
+    state depends on the whole active domain are indexed as *wildcards*
+    and evicted on any write.
 
     The SCC algorithm populates the cache through plain ``dict``
     operations, all of which are intercepted here.
@@ -139,9 +142,8 @@ class _StateCache(dict):
     shared index structures.
     """
 
-    def __init__(self, pending: Dict[str, EntangledQuery]) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._pending = pending
         self._mutex = threading.Lock()
         self._by_name: Dict[str, Set[frozenset]] = {}
         self._by_relation: Dict[str, Set[frozenset]] = {}
@@ -175,7 +177,7 @@ class _StateCache(dict):
         if old is not None:
             self._unindex(key, old[0])
         super().__setitem__(key, value)
-        state = value[1]
+        names, queries, state = value
         # A body-relation write is the only insert that can flip a
         # db-failed verdict (inserts are monotone, so successes stay
         # valid) — with two active-domain exceptions, both wildcards:
@@ -188,22 +190,17 @@ class _StateCache(dict):
         domain_dependent = (
             not state.failed and state.assignment is None
         ) or state.domain_filled
-        relations: Optional[Set[str]] = None if domain_dependent else set()
-        for name in value[0]:
+        for name in names:
             self._by_name.setdefault(name, set()).add(key)
-            if relations is not None:
-                query = self._pending.get(name)
-                if query is None:
-                    relations = None
-                else:
-                    relations.update(query.body_relations())
-        if relations is None:
+        if domain_dependent:
             self._key_relations[key] = None
             self._wildcard.add(key)
         else:
-            frozen = frozenset(relations)
-            self._key_relations[key] = frozen
-            for relation in frozen:
+            relations = frozenset().union(
+                *(query.body_relations() for query in queries)
+            )
+            self._key_relations[key] = relations
+            for relation in relations:
                 self._by_relation.setdefault(relation, set()).add(key)
 
     def __delitem__(self, key) -> None:
@@ -301,14 +298,21 @@ class CoordinationEngine:
         query with its successors' groundings within one evaluation.
     reuse_component_states:
         Memoize per-SCC evaluation states across arrivals (see module
-        docstring).  The cache is invalidated automatically when the
+        docstring).  A state is reused only when the component's
+        members, its closure's names and its closure's query contents
+        (:meth:`~repro.core.query.EntangledQuery.content_key`) all
+        match.  The cache is invalidated automatically when the
         database changes — per relation, via
         :meth:`~repro.db.Database.data_versions`: only entries whose
-        component bodies touch a mutated relation are dropped, with a
+        closure bodies touch a mutated relation are dropped, with a
         clear-everything fallback should the per-relation stamps ever
-        fail to explain a changed global stamp — and entries touching
-        a satisfied/retracted (deleted) query are dropped.  Disable to
-        reproduce the non-memoized evaluation cost profile.
+        fail to explain a changed global stamp.  Deleting a query
+        (satisfied, retracted or migrated away) drops the entries of
+        the SCCs it belonged to; with ``check_safety=False`` also
+        every entry whose closure reached it, because an unsafe
+        state depends on admission order too.  The cache is cleared
+        when it outgrows :attr:`_MAX_COMPONENT_STATES` entries.
+        Disable to reproduce the non-memoized evaluation cost profile.
     """
 
     def __init__(
@@ -336,11 +340,13 @@ class CoordinationEngine:
         self._graph: CoordinationGraph = CoordinationGraph.build([])
         self._components = UnionFind()
         self._component_states: Optional[_StateCache] = (
-            _StateCache(self._pending) if reuse_component_states else None
+            _StateCache() if reuse_component_states else None
         )
         self._db_stamp = db.data_version()
         self._db_stamps = db.data_versions()
         self._graph_view: Optional[CoordinationGraph] = None
+        # The last incident_pending probe, offered to the next admission.
+        self._routing_probe: Optional[ArrivalProbe] = None
         self._handles: Dict[str, QueryHandle] = {}
         self._final_states: Dict[str, QueryState] = {}
         self._resolution_callbacks: List[ResolutionCallback] = []
@@ -532,10 +538,13 @@ class CoordinationEngine:
         A read-only probe (nothing is admitted); O(candidate pairs) in
         this engine's graph.  The sharded service uses it to detect an
         arrival whose edges span shards.  Raises for a name already
-        pending here.
+        pending here.  The probe is kept: a following :meth:`admit` of
+        the same query object reuses it unless the graph changed in
+        between.
         """
         self._guard()
         probe = self._graph.probe(query)
+        self._routing_probe = probe
         names = {end for edge in probe.new_edges for end in edge.endpoints()}
         names.discard(query.name)
         return tuple(sorted(names))
@@ -696,7 +705,8 @@ class CoordinationEngine:
         """Probe, safety-check, and commit one arrival (no evaluation)."""
         if query.name in self._pending:
             raise PreconditionError(f"query {query.name!r} already pending")
-        probe = self._graph.probe(query)
+        probe = self._graph.probe(query, reuse=self._routing_probe)
+        self._routing_probe = None
         if self.check_safety and not probe.is_safe:
             # The pending set was safe before this arrival (invariant of
             # this guard), so the probe's O(new edges) delta check is
@@ -881,13 +891,21 @@ class CoordinationEngine:
         return self._component_states
 
     def _forget_states(self, names: Set[str]) -> None:
-        """Drop memoized component states whose closure touched ``names``.
+        """Drop the memoized component states of deleted queries.
 
-        Also protects against query-name reuse: a deleted name may
-        return with entirely different content, so nothing keyed on it
-        may survive.
+        A safe engine drops the entries whose key — the SCC's member
+        set — contains a deleted name.  An entry that merely *reaches*
+        one stays: every hit re-checks the closure's query contents, so
+        a name that returns with the same content hits again and one
+        that returns with other content misses.  Without the safety
+        check a state also depends on admission order (see
+        :data:`~repro.core.scc_coordination.ComponentCache`), so every
+        entry whose stored closure names a deleted query is dropped.
         """
         if not self._component_states:
             return
-        for key in self._component_states.keys_touching(names):
+        touched = self._component_states.keys_touching(names)
+        if self.check_safety:
+            touched = [key for key in touched if not names.isdisjoint(key)]
+        for key in touched:
             del self._component_states[key]

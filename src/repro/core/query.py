@@ -104,6 +104,27 @@ class EntangledQuery:
                     f"collides with a database relation"
                 )
 
+    def content_key(self) -> tuple:
+        """A type-strict fingerprint of the name and every atom, in order.
+
+        Two queries with equal keys coordinate identically.  Constants
+        are compared by type and ``repr`` as well as by value, because
+        ``Constant(1) == Constant(True)`` while a grounding built from
+        one hands back a different Python value than the other.
+        Memoized: the engine's component-state cache compares closures
+        by it (:func:`~repro.core.scc_coordination.scc_coordinate_on_graph`).
+        """
+        key = self.__dict__.get("_content_key")
+        if key is None:
+            key = (
+                self.name,
+                _atoms_key(self.postconditions),
+                _atoms_key(self.head),
+                _atoms_key(self.body),
+            )
+            object.__setattr__(self, "_content_key", key)
+        return key
+
     # ------------------------------------------------------------------
     # Renaming
     # ------------------------------------------------------------------
@@ -144,6 +165,21 @@ class EntangledQuery:
 
     def __repr__(self) -> str:
         return f"EntangledQuery({self.name!r}: {self})"
+
+
+def _atoms_key(atoms: Tuple[Atom, ...]) -> tuple:
+    return tuple(
+        (
+            atom.relation,
+            tuple(
+                term
+                if isinstance(term, Variable)
+                else (type(term.value), term.value, repr(term.value))
+                for term in atom.terms
+            ),
+        )
+        for atom in atoms
+    )
 
 
 def check_distinct_names(queries: Iterable[EntangledQuery]) -> Tuple[EntangledQuery, ...]:

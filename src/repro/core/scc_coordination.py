@@ -122,24 +122,51 @@ class _ComponentState:
 
 
 # Cache for memoizing component states across engine arrivals, keyed by
-# the SCC's member set; the entry stores the reachable closure R(q) it
-# was computed under, and a hit requires the closure to match exactly.
-# Soundness: arrivals only ever add edges incident to newcomers (two
-# existing queries never gain a new edge), so an unchanged (members,
-# closure) pair implies an unchanged induced closure subgraph — except
-# across *deletions*.  A satisfied set is a downward-closed closure, and
-# its removal can kill edges out of surviving SCCs; the engine therefore
-# evicts every entry whose stored closure intersects a deleted set
-# (:meth:`CoordinationEngine._forget_states`), and stamps the cache
-# against :meth:`~repro.db.Database.data_version`.  Keying by members
-# alone also bounds the cache: a component whose closure grows replaces
-# its entry in place, so entries accumulate only when SCC member-sets
+# the SCC's member set.  An entry stores the reachable closure R(q) it
+# was computed under — its names and its query objects — and a hit
+# requires the current closure to have the same names and, query by
+# query, the same content: the same object, or an equal
+# :meth:`~repro.core.query.EntangledQuery.content_key` (type-strict, so
+# ``Constant(1)`` never stands in for ``Constant(True)``).
+# Soundness needs safety.  In a safe set every postcondition of a
+# preprocessing survivor has exactly one edge, and an edge is a function
+# of the two queries' contents, so the closure's induced subgraph — and
+# with it the substitution, the combined query and its grounding — is a
+# function of the closure's contents and the database alone.  A closure
+# query may therefore leave and return (a retired owner re-submitted
+# with the same content) without invalidating anything.  Without safety
+# a postcondition may have several edges and the pass takes the first in
+# arrival order, so the state also depends on admission order; an
+# engine that does not check safety evicts every entry whose stored
+# closure names a deleted query (:meth:`CoordinationEngine._forget_states`).
+# A safe engine evicts only the entries whose *key* names one: the keys
+# stay a subset of the pending set.  Both stamp the cache against
+# :meth:`~repro.db.Database.data_version`.  Keying by members also
+# bounds the cache: a component whose closure changes replaces its
+# entry in place, so entries accumulate only when SCC member-sets
 # themselves change (e.g. a newcomer merging into a cycle leaves the old
 # singleton keys behind until a deletion evicts them or the engine's
 # size cap clears the cache) — bounded by the distinct SCC member-sets
-# seen since the last invalidation, not by the arrival count.
+# of pending queries, not by the arrival count.
 ComponentKey = frozenset
-ComponentCache = Dict[ComponentKey, Tuple[Tuple[str, ...], _ComponentState]]
+ComponentCache = Dict[
+    ComponentKey,
+    Tuple[Tuple[str, ...], Tuple[EntangledQuery, ...], _ComponentState],
+]
+
+
+def _same_closure(
+    entry: Tuple[Tuple[str, ...], Tuple[EntangledQuery, ...], _ComponentState],
+    involved: Tuple[str, ...],
+    closure: Tuple[EntangledQuery, ...],
+) -> bool:
+    """Whether a cache entry was computed for a content-identical closure."""
+    if entry[0] != involved:
+        return False
+    for stored, current in zip(entry[1], closure):
+        if stored is not current and stored.content_key() != current.content_key():
+            return False
+    return True
 
 
 def scc_coordinate(
@@ -224,12 +251,14 @@ def scc_coordinate_on_graph(
     as a run on the larger graph.
 
     ``component_cache`` (optional) memoizes per-SCC states *across*
-    calls: a component whose members and reachable closure are unchanged
-    since a previous run reuses its substitution, grounding, and
-    success/failure verdict without re-unifying or re-querying the
-    database.  The caller owns invalidation — the online engine keys
-    its cache by a database version stamp and drops entries whose
-    closure intersects a satisfied (deleted) coordinating set.  Results
+    calls: a component whose members are unchanged since a previous run,
+    and whose reachable closure has the same names and the same query
+    contents, reuses its substitution, grounding, and success/failure
+    verdict without re-unifying or re-querying the database.  Content
+    fixes a state only on a safe graph (see :data:`ComponentCache`).
+    The caller owns invalidation — the online engine stamps its cache
+    against the database version and drops the entries of deleted
+    queries (on an unsafe graph, every entry that reached one).  Results
     are identical to an uncached run on the same graph and database.
     """
     if stats is None:
@@ -253,6 +282,7 @@ def scc_coordinate_on_graph(
         _ComponentState() for _ in range(cond.component_count)
     ]
     candidates: List[CoordinatingSet] = []
+    queries = graph.queries
 
     for component in cond.reverse_topological_order():
         state = states[component]
@@ -272,9 +302,10 @@ def scc_coordinate_on_graph(
         cache_key: Optional[ComponentKey] = None
         if component_cache is not None:
             cache_key = frozenset(members)
+            closure = tuple(queries[name] for name in involved)
             entry = component_cache.get(cache_key)
-            if entry is not None and entry[0] == involved:
-                cached = entry[1]
+            if entry is not None and _same_closure(entry, involved, closure):
+                cached = entry[2]
                 states[component] = cached
                 stats.extra["component_cache_hits"] = (
                     stats.extra.get("component_cache_hits", 0) + 1
@@ -349,7 +380,7 @@ def scc_coordinate_on_graph(
             state.failed = True
             state.status = "unification-failed"
             if cache_key is not None:
-                component_cache[cache_key] = (involved, state)
+                component_cache[cache_key] = (involved, closure, state)
             if trace is not None:
                 trace.add(
                     ComponentProcessed(
@@ -382,7 +413,7 @@ def scc_coordinate_on_graph(
                 state.failed = True
                 state.status = "db-failed"
                 if cache_key is not None:
-                    component_cache[cache_key] = (involved, state)
+                    component_cache[cache_key] = (involved, closure, state)
                 if trace is not None:
                     trace.add(
                         ComponentProcessed(
@@ -400,7 +431,7 @@ def scc_coordinate_on_graph(
         state.assignment = assignment
         state.domain_filled = assignment is not None and domain_filled
         if cache_key is not None:
-            component_cache[cache_key] = (involved, state)
+            component_cache[cache_key] = (involved, closure, state)
         if assignment is not None:
             candidates.append(CoordinatingSet(involved, assignment))
             if trace is not None:

@@ -17,11 +17,14 @@ import random
 from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CoordinationGraph,
     CoordinationEngine,
     EntangledQuery,
+    QueryHandle,
     QueryState,
     safety_report,
     scc_coordinate_on_graph,
@@ -594,3 +597,380 @@ def test_domain_filler_assignments_match_uncached_after_any_write():
         )
     assert results[True] == results[False]
     assert ("b.v", "aa") in results[True]
+
+
+# ---------------------------------------------------------------------------
+# Memoized states across name reuse: hits are validated by closure content
+# ---------------------------------------------------------------------------
+def _owner_db():
+    """Owners own entities; searchers want entities; a few are special."""
+    from repro.db import DatabaseBuilder
+
+    return (
+        DatabaseBuilder()
+        .table("Owners", ["entity", "owner"])
+        .rows(
+            "Owners",
+            [("e1", "o"), ("e2", "o"), ("e1", "o1"), ("e2", "o1"), ("e3", "o2")],
+        )
+        .table("Wants", ["searcher", "entity"])
+        .rows(
+            "Wants",
+            [("s1", "e1"), ("s2", "e1"), ("s2", "e2"), ("s3", "e3"), ("s1", "e3")],
+        )
+        .table("Special", ["entity"])
+        .rows("Special", [("e2",)])
+        .build()
+    )
+
+
+def _owner(name: str, tag: object = 1, special: bool = False) -> EntangledQuery:
+    """``{} R(e, name, tag) :- Owners(e, name)[, Special(e)]``."""
+    entity = Variable("e")
+    body = [Atom("Owners", [entity, name])]
+    if special:
+        body.append(Atom("Special", [entity]))
+    return EntangledQuery(name, (), (Atom("R", [entity, name, tag]),), body)
+
+
+def _searcher(
+    name: str, owners: Tuple[str, ...], peers: Tuple[str, ...] = ()
+) -> EntangledQuery:
+    """Wants one entity per owner, posting to each owner (and peer)."""
+    posts = [
+        Atom("R", [Variable(f"y{i}"), owner, Variable(f"t{i}")])
+        for i, owner in enumerate(owners)
+    ]
+    posts += [Atom("F", [Variable(f"w{i}"), peer]) for i, peer in enumerate(peers)]
+    body = [Atom("Wants", [name, Variable(f"y{i}")]) for i in range(len(owners))]
+    return EntangledQuery(name, posts, (Atom("F", [Variable("y0"), name]),), body)
+
+
+def _typed_assignment(result) -> List[Tuple[str, str, str]]:
+    """A chosen set's assignment, with every value's type spelled out."""
+    if result is None or result.chosen is None:
+        return []
+    return sorted(
+        (str(variable), type(value).__name__, repr(value))
+        for variable, value in result.chosen.assignment.items()
+    )
+
+
+def _owner_returns(returning: EntangledQuery):
+    """s1, s2 wait on o; o arrives and retires with s2; ``returning``
+    (named o) arrives.  Returns, per engine kind, the last arrival's
+    result plus the final pending set."""
+    outcomes = {}
+    for reuse in (True, False):
+        engine = CoordinationEngine(_owner_db(), reuse_component_states=reuse)
+        engine.submit(_searcher("s1", ("o",)))
+        engine.submit(_searcher("s2", ("o",)))
+        first = engine.submit(_owner("o"))
+        assert set(first.satisfied) == {"o", "s2"}
+        last = engine.submit(returning)
+        outcomes[reuse] = (last.result, tuple(sorted(engine.pending())))
+    return outcomes
+
+
+def test_returning_owner_with_same_content_hits_the_cache():
+    """{s2, o} retires; an identical (not identical-object) o returns:
+    s1's memoized state is reused, saving its database query."""
+    outcomes = _owner_returns(_owner("o"))
+    memoized, recomputed = outcomes[True][0], outcomes[False][0]
+    assert memoized.chosen.members == recomputed.chosen.members == ("o", "s1")
+    assert _typed_assignment(memoized) == _typed_assignment(recomputed)
+    assert memoized.stats.extra.get("component_cache_hits", 0) == 1
+    assert memoized.stats.db_queries == recomputed.stats.db_queries - 1
+    assert outcomes[True][1] == outcomes[False][1] == ()
+
+
+def test_returning_owner_with_different_content_misses():
+    """o returns satisfiable alone (e2 is special) but not jointly with
+    s1 (who wants e1): s1's memoized success must not be reused."""
+    outcomes = _owner_returns(_owner("o", special=True))
+    memoized, recomputed = outcomes[True][0], outcomes[False][0]
+    assert recomputed.chosen.members == ("o",)
+    assert memoized.chosen.members == recomputed.chosen.members
+    assert _typed_assignment(memoized) == _typed_assignment(recomputed)
+    assert outcomes[True][1] == outcomes[False][1] == ("s1",)
+
+
+def test_returning_owner_with_equal_but_differently_typed_constant_misses():
+    """``True == 1`` in Python, but a grounding built from o's head hands
+    the constant back: the memoized assignment must carry ``True``."""
+    outcomes = _owner_returns(_owner("o", tag=True))
+    memoized, recomputed = outcomes[True][0], outcomes[False][0]
+    assert memoized.chosen.members == recomputed.chosen.members == ("o", "s1")
+    assert ("s1.t0", "bool", "True") in _typed_assignment(recomputed)
+    assert _typed_assignment(memoized) == _typed_assignment(recomputed)
+
+
+def test_unsafe_engine_evicts_by_closure_after_swapped_readmission():
+    """Without the safety check s's postcondition matches both a and b,
+    and the SCC pass unifies with the first edge in arrival order.
+    After a and b leave and return in swapped order, s's memoized state
+    (unified with a: unsatisfiable) must not stand in for the state
+    unified with b (satisfiable)."""
+    from repro.db import DatabaseBuilder
+
+    def queries():
+        a = EntangledQuery(
+            "a", (), (Atom("P", [Variable("u")]),), (Atom("A", [Variable("u")]),)
+        )
+        b = EntangledQuery(
+            "b", (), (Atom("P", [Variable("v")]),), (Atom("B", [Variable("v")]),)
+        )
+        s = EntangledQuery(
+            "s",
+            (Atom("P", [Variable("x")]),),
+            (Atom("S", [Variable("x")]),),
+            (Atom("C", [Variable("x")]),),
+        )
+        return a, b, s
+
+    retired = {}
+    for reuse in (True, False):
+        db = (
+            DatabaseBuilder()
+            .table("A", ["v"]).rows("A", [(1,)])
+            .table("B", ["v"]).rows("B", [(2,)])
+            .table("C", ["v"]).rows("C", [(2,)])
+            .build()
+        )
+        engine = CoordinationEngine(
+            db, check_safety=False, reuse_component_states=reuse
+        )
+        a, b, s = queries()
+        engine.submit(s)
+        handles = engine.submit_many([a, b])  # s unifies with a: fails
+        assert handles[0].is_pending and handles[1].satisfied == ("b",)
+        engine.retract("a")
+        handles = engine.submit_many([b, a])  # s now unifies with b
+        retired[reuse] = (handles[0].satisfied, _typed_assignment(handles[0].result))
+    assert retired[True] == retired[False]
+    assert retired[False][0] == ("a", "b", "s")
+
+
+def test_cache_keys_stay_within_the_pending_set_on_a_keyword_stream():
+    """A safe engine evicts by SCC membership, so after every event each
+    memoized key names pending queries only; closures may name retired
+    owners, which the next sweep's same-content owners hit again."""
+    from repro.workloads import keyword_events
+
+    db, events = keyword_events(48, entities=24, docs=240, seed=5)
+    engine = CoordinationEngine(db)
+    hits = 0
+    for event in events:
+        if event[0] == "submit":
+            handles = [engine.submit(event[1])]
+        elif event[0] == "submit_many":
+            handles = engine.submit_many(event[1])
+        else:
+            handles = []
+            while engine.flush().chosen is not None:
+                pass
+        hits += sum(
+            h.result.stats.extra.get("component_cache_hits", 0)
+            for h in handles
+            if h.result is not None
+        )
+        pending = set(engine.pending())
+        assert all(key <= pending for key in engine._component_states)
+    assert hits > 0
+
+
+# A few names, several contents per name: owners differ in their head
+# constant (1 vs True) and body; searchers in which owners and peers
+# they post to.  Every combination is safe (each postcondition names
+# the one query whose head can match it).
+_OWNER_VARIANTS = {
+    "o1": (_owner("o1"), _owner("o1", tag=True), _owner("o1", special=True)),
+    "o2": (_owner("o2"), _owner("o2", tag=True)),
+}
+_SEARCHER_VARIANTS = {
+    name: (
+        _searcher(name, ("o1",)),
+        _searcher(name, ("o2",)),
+        _searcher(name, ("o1", "o2")),
+        _searcher(name, ("o1",), (peer,)),
+    )
+    for name, peer in (("s1", "s2"), ("s2", "s3"), ("s3", "s1"))
+}
+_VARIANTS = {**_OWNER_VARIANTS, **_SEARCHER_VARIANTS}
+_INSERTS = (
+    ("Wants", ("s2", "e3")),
+    ("Wants", ("s3", "e1")),
+    ("Special", ("e1",)),
+    ("Owners", ("e2", "o2")),
+)
+
+_pick = st.tuples(st.sampled_from(sorted(_VARIANTS)), st.integers(0, 3))
+_searcher_pick = st.tuples(st.sampled_from(sorted(_SEARCHER_VARIANTS)), st.integers(0, 3))
+# Owner sweeps, as in the keyword workload: an owner retires with one of
+# the searchers waiting on it and returns, in some content, next sweep.
+_sweep = st.lists(
+    st.tuples(st.sampled_from(sorted(_OWNER_VARIANTS)), st.integers(0, 2)),
+    min_size=1,
+    max_size=2,
+)
+_events = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), _searcher_pick),
+        st.tuples(st.just("submit"), _searcher_pick),
+        st.tuples(st.just("submit"), _pick),
+        st.tuples(st.just("many"), _sweep),
+        st.tuples(st.just("many"), _sweep),
+        st.tuples(st.just("many"), st.lists(_pick, min_size=1, max_size=4)),
+        st.tuples(st.just("retract"), st.sampled_from(sorted(_VARIANTS))),
+        st.tuples(st.just("insert"), st.integers(0, len(_INSERTS) - 1)),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=30,
+)
+
+
+def _variant(pick) -> EntangledQuery:
+    name, index = pick
+    variants = _VARIANTS[name]
+    return variants[index % len(variants)]
+
+
+def _replay(events, reuse: bool):
+    """Drive one engine through ``events``; return its observables."""
+    engine = CoordinationEngine(_owner_db(), reuse_component_states=reuse)
+    handles: List = []
+    trace: List = []
+    for event in events:
+        kind = event[0]
+        try:
+            if kind == "submit":
+                handles.append(engine.submit(_variant(event[1])))
+            elif kind == "many":
+                handles.extend(engine.submit_many([_variant(p) for p in event[1]]))
+            elif kind == "retract":
+                engine.retract(event[1])
+            elif kind == "insert":
+                engine.db.insert(*_INSERTS[event[1]])
+            else:
+                trace.append(_typed_assignment(engine.flush()))
+        except PreconditionError:
+            trace.append("rejected")
+        trace.append(tuple(sorted(engine.pending())))
+    for handle in handles:
+        trace.append(
+            (
+                handle.query,
+                handle.state,
+                handle.satisfied_with,
+                _typed_assignment(handle.resolution),
+            )
+        )
+    return trace
+
+
+@settings(max_examples=400, deadline=None)
+@given(_events)
+def test_memoized_engine_matches_recomputation_under_name_reuse(events):
+    """Retract, resubmit and content changes over a few names: the
+    memoized engine's handle states, satisfied sets and assignments
+    equal those of an engine that recomputes every component."""
+    assert _replay(events, True) == _replay(events, False)
+
+
+# ---------------------------------------------------------------------------
+# Admission reuses the routing probe while the graph is unchanged
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Counts every probe any coordination graph computes."""
+    calls = []
+    probe = CoordinationGraph._probe
+
+    def counting(graph, query, include_self):
+        calls.append(query.name)
+        return probe(graph, query, include_self)
+
+    monkeypatch.setattr(CoordinationGraph, "_probe", counting)
+    return calls
+
+
+def _waiting(name: str, wants: str) -> EntangledQuery:
+    """``{wants(z)} P(u, name) :- A(u)``: waits for a ``wants`` head."""
+    return EntangledQuery(
+        name,
+        (Atom(wants, [Variable("z")]),),
+        (Atom("P", [Variable("u"), name]),),
+        (Atom("A", [Variable("u")]),),
+    )
+
+
+def _probe_db():
+    from repro.db import DatabaseBuilder
+
+    return DatabaseBuilder().table("A", ["v"]).rows("A", [(1,)]).build()
+
+
+def test_admission_reuses_the_routing_probe(probe_calls):
+    engine = CoordinationEngine(_probe_db())
+    engine.submit(_waiting("a", "W"))
+    arrival = _waiting("q", "P")
+    probe_calls.clear()
+    assert engine.incident_pending(arrival) == ()
+    handle = engine.admit(arrival)
+    assert probe_calls == ["q"]
+    assert handle.is_pending and "q" in engine.pending()
+
+
+def test_admission_reprobes_another_query_object(probe_calls):
+    """Reuse needs the very query object, not an equal one."""
+    engine = CoordinationEngine(_probe_db())
+    engine.incident_pending(_waiting("q", "P"))
+    engine.admit(_waiting("q", "P"))
+    assert probe_calls == ["q", "q"]
+
+
+def test_adoption_between_probe_and_admission_forces_a_fresh_probe(probe_calls):
+    """A component adopted (migrated in) after the routing probe adds
+    edges the probe never saw; admission must see them."""
+    engine = CoordinationEngine(_probe_db())
+    arrival = EntangledQuery(
+        "q",
+        (Atom("P", [Variable("x"), "a"]),),
+        (Atom("H", [Variable("x")]),),
+        (Atom("A", [Variable("x")]),),
+    )
+    assert engine.incident_pending(arrival) == ()
+    engine.adopt([QueryHandle(_waiting("a", "W"))])
+    probe_calls.clear()
+    engine.admit(arrival)
+    assert probe_calls == ["q"]
+    assert engine.component_of("q") == ("a", "q")
+
+
+def test_commit_between_probe_and_admission_forces_a_fresh_probe(probe_calls):
+    """An evaluation that commits (retires a set) after the routing
+    probe changes the safety verdict the probe recorded."""
+    engine = CoordinationEngine(_probe_db())
+    engine.submit(_waiting("a", "W"))
+    engine.submit(_waiting("b", "W2"))
+    # Admitted on the router; its evaluation is still owed.
+    partner = engine.admit(
+        EntangledQuery(
+            "c", (), (Atom("W", [Variable("k")]),), (Atom("A", [Variable("k")]),)
+        )
+    )
+    # q's postcondition matches both a's and b's head: unsafe now.
+    arrival = EntangledQuery(
+        "q",
+        (Atom("P", [Variable("x"), Variable("n")]),),
+        (Atom("H", [Variable("x")]),),
+        (Atom("A", [Variable("x")]),),
+    )
+    assert engine.incident_pending(arrival) == ("a", "b")
+    # The worker's evaluation commits and retires {a, c}.
+    engine.evaluate_admitted_phased([partner])
+    assert partner.satisfied == ("a", "c")
+    probe_calls.clear()
+    handle = engine.admit(arrival)
+    assert probe_calls == ["q"]
+    assert handle.is_pending and engine.component_of("q") == ("b", "q")

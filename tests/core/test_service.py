@@ -174,6 +174,36 @@ def test_spanning_arrival_migrates_smaller_into_larger():
     _assert_invariants(service)
 
 
+def test_admission_reuses_the_routing_probe_unless_a_migration_intervened(
+    monkeypatch,
+):
+    """Every shard probes an arrival once; the target shard's admission
+    reuses its probe, except after a migration into it, which the probe
+    predates: then admission probes again and sees the migrated edges."""
+    from repro.core import CoordinationGraph
+
+    probed = []
+    probe = CoordinationGraph._probe
+
+    def counting(graph, query, include_self):
+        probed.append(query.name)
+        return probe(graph, query, include_self)
+
+    monkeypatch.setattr(CoordinationGraph, "_probe", counting)
+    db = members_database(size=DB_SIZE, seed=2012)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=4))
+    a, b, bridge = member_name(0), member_name(1), member_name(25)
+    service.submit(partner_query(a, [member_name(100)]))
+    service.submit(partner_query(b, [member_name(101)]))
+    assert probed.count(a) == probed.count(b) == 4
+
+    handle = service.submit(partner_query(bridge, [a, b]))
+    assert service.migrations >= 1
+    assert probed.count(bridge) == 5
+    assert handle.component == tuple(sorted((a, b, bridge)))
+    _assert_invariants(service)
+
+
 def test_handle_identity_survives_migration():
     db = members_database(size=DB_SIZE, seed=2012)
     service = ShardedCoordinationService(db, ServiceConfig(shards=4))
