@@ -45,7 +45,6 @@ from typing import Optional
 from ..concurrency import SHUTDOWN_GRACE, Deadline
 from ..db import Database, wire
 from .transport import (
-    CONTROL_OPS,
     CONTROL_SWITCH_INTERVAL,
     ShardProxy,
     WorkerSession,
@@ -53,16 +52,26 @@ from .transport import (
 )
 
 #: Environment override for the multiprocessing start method (testing /
-#: platform quirks).  Default: ``forkserver`` where available (cheap
-#: per-worker startup, safe with the router's threads), else ``spawn``.
+#: platform quirks).  Default: ``forkserver`` where available (safe
+#: with the router's threads, and it forks every worker from one
+#: server that has already imported this module, see
+#: :func:`_mp_context`), else ``spawn``.
 START_METHOD_ENV = "REPRO_PROCEXEC_START_METHOD"
-
-#: Backwards-compatible aliases; the definitions live on the seam.
-_CONTROL_OPS = CONTROL_OPS
-_CONTROL_SWITCH_INTERVAL = CONTROL_SWITCH_INTERVAL
 
 
 def _mp_context():
+    """The multiprocessing context that starts shard worker processes.
+
+    For the forkserver, this module is registered as a preload next to
+    CPython's default ``__main__`` entry, so the server imports the
+    worker code once and every worker forks with it already loaded.
+    The default entry alone loads nothing on CPython 3.11–3.13 (the
+    server never receives the main module's path), and each worker
+    would import the library itself.  The preload takes effect only if
+    this call precedes the server's first start, and only if the
+    server can import ``repro`` (installed or on ``PYTHONPATH``);
+    otherwise CPython skips it and each worker imports the library.
+    """
     method = os.environ.get(START_METHOD_ENV)
     if not method:
         method = (
@@ -70,7 +79,10 @@ def _mp_context():
             if "forkserver" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-    return multiprocessing.get_context(method)
+    context = multiprocessing.get_context(method)
+    if method == "forkserver":
+        context.set_forkserver_preload(["__main__", __name__])
+    return context
 
 
 # ---------------------------------------------------------------------------

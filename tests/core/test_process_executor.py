@@ -17,23 +17,32 @@ serial service and the single engine.  Asserted by:
 
 plus crash regressions (a dead worker process surfaces
 ``ConcurrencyError`` and rejects its handles instead of hanging
-``drain``) and a teardown fixture asserting no worker process leaks.
+``drain``), worker start-up (forkserver workers start with the library
+already loaded; the ``spawn`` override still works) and a teardown
+fixture asserting no worker process leaks.
 """
 
+import json
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import (
     CoordinationEngine,
     QueryState,
     ServiceConfig,
     ShardedCoordinationService,
 )
+from repro.core.procexec import START_METHOD_ENV
 from repro.db import wire
 from repro.errors import ConcurrencyError, PreconditionError
 from repro.networks import member_name
@@ -491,3 +500,64 @@ def test_process_executor_rejects_unserializable_configuration():
         )
     with pytest.raises(PreconditionError):
         ShardedCoordinationService(db, ServiceConfig(executor="fiber"))
+
+
+# ---------------------------------------------------------------------------
+# Worker start-up
+# ---------------------------------------------------------------------------
+#: Starts one worker through the executor's context and prints the
+#: modules it found loaded (``preload_probe`` imports nothing of ours).
+PRELOAD_PROBE = """
+import json
+import preload_probe
+from repro.core import procexec
+
+context = procexec._mp_context()
+reader, writer = context.Pipe(duplex=False)
+worker = context.Process(target=preload_probe.send_modules, args=(writer,))
+worker.start()
+writer.close()
+print(json.dumps(reader.recv()))
+worker.join()
+"""
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method on this platform",
+)
+def test_forkserver_workers_start_with_the_library_loaded():
+    # A fresh interpreter, so no forkserver runs yet (one started
+    # earlier in this process without the preload would keep its own),
+    # and a -c main, which gives the server no module path to import.
+    env = dict(os.environ)
+    env.pop(START_METHOD_ENV, None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [
+            str(Path(repro.__file__).resolve().parents[1]),
+            str(Path(__file__).resolve().parent),
+        ]
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", PRELOAD_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    loaded = set(json.loads(probe.stdout.splitlines()[-1]))
+    assert {"repro.core.engine", "repro.core.transport"} <= loaded
+
+
+def test_spawn_start_method_equivalence(monkeypatch):
+    # The start-method override bypasses the forkserver and its
+    # preload: each worker is a fresh interpreter importing the library.
+    monkeypatch.setenv(START_METHOD_ENV, "spawn")
+    rng = random.Random(78)
+    db = members_database(size=DB_SIZE, seed=2012)
+    engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
+    with process_service(db, shards=2) as service:
+        spawned = multiprocessing.get_context("spawn").Process
+        assert all(isinstance(e._process, spawned) for e in service._engines)
+        run_equivalent_streams(service, engine, partner_stream(rng, 30))
