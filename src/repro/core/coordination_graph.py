@@ -37,6 +37,14 @@ Destructive operations (:meth:`discard_queries`, issued by the engine
 when a coordinating set is satisfied and leaves the system) mutate the
 core in place in O(removed component); any other graph still attached
 to the core is detached first, so it keeps its pre-removal snapshot.
+
+The preprocessing fixpoint is kept live the same way: once
+:meth:`CoordinationGraph.live_survivors` has been asked, the core
+maintains the greatest fixpoint of the Section 6.1 preprocessing over
+all its queries, plus every postcondition's count of surviving matching
+heads.  An arrival re-runs the fixpoint only over itself and the
+removed queries that reach it; a deletion decrements counts and
+cascades (DESIGN.md §15 has the argument).
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..graphs import DiGraph
 from ..logic import Atom, Constant, unifiable
@@ -199,9 +207,10 @@ class _GraphCore:
 
     Holds the authoritative dictionaries, the append-only edge list,
     the collapsed digraph, both atom indexes, per-node incident-edge
-    adjacency, the per-postcondition head-match counts, and each
-    query's admission token.  ``version`` increments on every mutation;
-    a :class:`CoordinationGraph` whose version matches is the *tip* and
+    adjacency, the per-postcondition head-match counts, the live
+    preprocessing fixpoint, and each query's admission token.
+    ``version`` increments on every mutation; a
+    :class:`CoordinationGraph` whose version matches is the *tip* and
     reads the core directly.
     """
 
@@ -216,6 +225,8 @@ class _GraphCore:
         "out_edges",
         "in_edges",
         "fanout",
+        "alive",
+        "support",
         "head_index",
         "post_index",
         "tokens",
@@ -238,6 +249,14 @@ class _GraphCore:
         # (query, post_index) -> live head-match count; safety means
         # every value is at most 1 (Definition 2).
         self.fanout: Dict[Tuple[str, int], int] = {}
+        # The live preprocessing fixpoint, built lazily on first read
+        # like the atom indexes (snapshots and detached views are never
+        # asked): ``alive`` is the greatest set of queries whose every
+        # postcondition has a matching head inside the set, and
+        # ``support`` maps every (query, post_index) of the core, alive
+        # or not, to its number of edges into ``alive``.
+        self.alive: Optional[Set[str]] = None
+        self.support: Optional[Dict[Tuple[str, int], int]] = None
         # Atom indexes are built lazily on first probe: restricted /
         # detached graphs are evaluated (preprocess, condensation,
         # unification) but never probed, so they must not pay index
@@ -288,6 +307,92 @@ class _GraphCore:
                 post_index.add(name, pi, post, token)
         self.head_index = head_index
         self.post_index = post_index
+
+    def ensure_fixpoint(self) -> None:
+        """Build the live preprocessing fixpoint if absent."""
+        if self.alive is not None:
+            return
+        self.alive = set(self.queries)
+        self.support = {}
+        stuck: List[str] = []
+        for name, std in self.standardized.items():
+            for pi in range(len(std.postconditions)):
+                count = len(self.out_by_post.get((name, pi), ()))
+                self.support[(name, pi)] = count
+                if not count:
+                    stuck.append(name)
+        self.drop_unsupported(stuck)
+
+    def drop_unsupported(self, worklist: List[str]) -> None:
+        """Remove ``worklist`` from ``alive`` and cascade: every query
+        left with an unsupported postcondition follows."""
+        alive = self.alive
+        support = self.support
+        in_edges = self.in_edges
+        while worklist:
+            name = worklist.pop()
+            if name not in alive:
+                continue
+            alive.discard(name)
+            for edge in in_edges[name]:
+                key = (edge.source, edge.post_index)
+                support[key] -= 1
+                if not support[key] and edge.source in alive:
+                    worklist.append(edge.source)
+
+    def revive(self, name: str) -> None:
+        """Extend the fixpoint with a just-committed arrival ``name``.
+
+        Only removed queries that reach ``name`` through removed
+        queries can join the fixpoint (DESIGN.md §15), so the fixpoint
+        re-runs over those alone, with the alive set as fixed support.
+        """
+        std = self.standardized[name]
+        for pi in range(len(std.postconditions)):
+            if (name, pi) not in self.out_by_post:
+                return  # a postcondition nothing can satisfy
+        alive = self.alive
+        in_edges = self.in_edges
+        candidates = {name}
+        stack = [name]
+        while stack:
+            for edge in in_edges[stack.pop()]:
+                source = edge.source
+                if source not in alive and source not in candidates:
+                    candidates.add(source)
+                    stack.append(source)
+        # Per candidate postcondition: heads in alive plus heads among
+        # the candidates.
+        support = self.support
+        out_by_post = self.out_by_post
+        standardized = self.standardized
+        matches: Dict[Tuple[str, int], int] = {}
+        worklist: List[str] = []
+        for candidate in candidates:
+            for pi in range(len(standardized[candidate].postconditions)):
+                key = (candidate, pi)
+                count = support[key]
+                for edge in out_by_post.get(key, ()):
+                    if edge.target in candidates:
+                        count += 1
+                matches[key] = count
+                if not count:
+                    worklist.append(candidate)
+        while worklist:
+            dropped = worklist.pop()
+            if dropped not in candidates:
+                continue
+            candidates.discard(dropped)
+            for edge in in_edges[dropped]:
+                if edge.source in candidates:
+                    key = (edge.source, edge.post_index)
+                    matches[key] -= 1
+                    if not matches[key]:
+                        worklist.append(edge.source)
+        alive.update(candidates)
+        for revived in candidates:
+            for edge in in_edges[revived]:
+                support[(edge.source, edge.post_index)] += 1
 
     def _append_edge(self, edge: ExtendedEdge) -> None:
         self.edge_pos[edge] = len(self.edges)
@@ -469,6 +574,14 @@ class CoordinationGraph:
                 core.post_index.add(name, pi, post, token)
         for edge in probe.new_edges:
             core._append_edge(edge)
+        if core.alive is not None:
+            support = core.support
+            for pi in range(len(probe.standardized.postconditions)):
+                support[(name, pi)] = 0
+            for edge in probe.new_edges:
+                if edge.target in core.alive:
+                    support[(edge.source, edge.post_index)] += 1
+            core.revive(name)
         return CoordinationGraph(core, core.version)
 
     def with_query(self, query: EntangledQuery) -> "CoordinationGraph":
@@ -502,6 +615,19 @@ class CoordinationGraph:
             return
         self._detach_others(core)
         dropped_set = set(dropped)
+        if core.alive is not None:
+            # Deletions only shrink the fixpoint: the dropped heads stop
+            # supporting, and queries left unsupported cascade out.
+            was_alive = [name for name in dropped if name in core.alive]
+            core.alive.difference_update(dropped_set)
+            stuck: List[str] = []
+            for name in was_alive:
+                for edge in core.in_edges[name]:
+                    key = (edge.source, edge.post_index)
+                    core.support[key] -= 1
+                    if not core.support[key] and edge.source in core.alive:
+                        stuck.append(edge.source)
+            core.drop_unsupported(stuck)
         for name in dropped:
             std = core.standardized[name]
             # Kill incident edges.  Out-edges of the dropped query also
@@ -520,6 +646,8 @@ class CoordinationGraph:
             for pi in range(len(std.postconditions)):
                 core.fanout.pop((name, pi), None)
                 core.out_by_post.pop((name, pi), None)
+                if core.support is not None:
+                    del core.support[(name, pi)]
             if core.head_index is not None:
                 core.head_index.mark_dead(len(std.head))
                 core.post_index.mark_dead(len(std.postconditions))
@@ -686,6 +814,35 @@ class CoordinationGraph:
         sub = _GraphCore.from_parts(queries, standardized, edges)
         return CoordinationGraph(sub, sub.version)
 
+    def live_survivors(
+        self, names: Sequence[str]
+    ) -> Tuple[Tuple[str, ...], int]:
+        """The members of ``names`` in the live preprocessing fixpoint.
+
+        Returns ``(alive, edges)``: the members the fixpoint keeps, in
+        the order of ``names``, and the number of collapsed edges whose
+        source is in ``names``.  The fixpoint is that of the whole
+        graph, kept up to date by every arrival and deletion (see the
+        module docstring), so this is one pass over ``names`` with no
+        edge walked.  When ``names`` is closed under edges — a union of
+        weak components, which is what the online engine asks about —
+        ``alive`` equals ``survivors(names)[0]`` and ``edges`` is the
+        edge count of the subgraph ``names`` induces.  The first call
+        on a core builds the fixpoint in O(graph + edges).  Unknown
+        names are ignored.
+        """
+        core = self._view()
+        core.ensure_fixpoint()
+        live = core.alive
+        out_degree = core.digraph.out_degree
+        alive: List[str] = []
+        edges = 0
+        for name in names:
+            if name in live:
+                alive.append(name)
+            edges += out_degree(name)
+        return tuple(alive), edges
+
     def survivors(
         self, names: Iterable[str]
     ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -697,9 +854,14 @@ class CoordinationGraph:
         may orphan other postconditions.  Returns ``(alive, removed)``:
         the survivors in the order of ``names`` and the dropped queries
         in removal order.  Reads the incident adjacency in place, so it
-        costs O(kept queries + their incident edges) and copies nothing
-        — the online engine runs it on its live graph and snapshots only
-        the survivors.  Unknown names are ignored.
+        costs O(kept queries + their incident edges) and copies nothing.
+        Unknown names are ignored.
+
+        This is the from-scratch computation: the offline
+        :func:`~repro.core.scc_coordination.preprocess` runs it (its
+        removal order feeds the ``PreprocessingRemoved`` trace event),
+        and the tests use it as the oracle of :meth:`live_survivors`,
+        which the online engine reads instead.
         """
         core = self._view()
         keep = [n for n in dict.fromkeys(names) if n in core.queries]

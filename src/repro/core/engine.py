@@ -42,14 +42,20 @@ pending-set size:
 * the newcomer's weak component comes from a
   :class:`~repro.graphs.UnionFind` over pending queries (amortized
   O(α) per new edge) instead of a BFS over the whole graph;
-* the evaluation's plan phase runs the preprocessing fixpoint (drop
-  every query with a postcondition no remaining head satisfies) on the
-  *live* graph via
-  :meth:`~repro.core.coordination_graph.CoordinationGraph.survivors` —
-  O(component + its edges), reading the incident adjacency in place —
-  and snapshots only the survivors; on a stream where most components
-  wait for partners that snapshot is usually empty, so the copy and the
-  SCC pass cost O(survivors), not O(component);
+* the preprocessing fixpoint (drop every query with a postcondition no
+  remaining head satisfies) is kept *live* in the graph: an arrival
+  re-runs it only over itself and the removed queries that reach it,
+  a deletion cascades decrements
+  (:meth:`~repro.core.coordination_graph.CoordinationGraph.live_survivors`);
+  the evaluation's plan phase reads it in one pass over the component
+  and snapshots only the survivors, so the copy and the SCC pass cost
+  O(survivors), not O(component);
+* a component with no survivors is *settled*: its outcome — what the
+  SCC algorithm returns on an empty snapshot, with the whole
+  component's counters — is recorded without a run phase, and
+  :meth:`admit` settles it at admission, so the concurrent service
+  posts no evaluation for it (on a stream where most components wait
+  for partners, that is most arrivals);
 * each query is standardized once
   (:meth:`~repro.core.query.EntangledQuery.standardized` is memoized),
   and the graph's atom indexes tell live entries from stale ones by a
@@ -243,12 +249,12 @@ class _EvaluationPlan:
 
     ``component`` is the whole weak component (outcomes, retirement and
     the freeze rule are about it); ``survivors`` is the independently
-    cored subgraph induced on the members the preprocessing fixpoint
-    kept — usually few or none, because the plan phase already ran the
-    fixpoint on the live graph.  ``edges`` (collapsed edges of the whole
-    component) and ``removed`` (queries the fixpoint dropped) complete
-    the counters the run reports.  ``cache`` is the stamp-checked state
-    cache.
+    cored subgraph induced on the members of the live preprocessing
+    fixpoint — never empty, because a component without survivors is
+    settled in the plan phase and gets no plan.  ``edges`` (collapsed
+    edges of the whole component) and ``removed`` (queries the fixpoint
+    dropped) complete the counters the run reports.  ``cache`` is the
+    stamp-checked state cache.
     """
 
     component: Tuple[str, ...]
@@ -256,6 +262,15 @@ class _EvaluationPlan:
     edges: int
     removed: int
     cache: Optional[ComponentCache]
+
+
+def _component_stats(
+    component: Tuple[str, ...], edges: int, removed: int
+) -> CoordinationStats:
+    """The counters of one component evaluation, preprocessing included."""
+    return CoordinationStats(
+        graph_nodes=len(component), graph_edges=edges, preprocessing_removed=removed
+    )
 
 
 @dataclass
@@ -430,24 +445,30 @@ class CoordinationEngine:
         """
         self._guard()
         handle = self._admit(query)
-        self._evaluate_component(query.name, (handle,))
+        self._evaluate_component((handle,))
         return handle
 
     def admit(self, query: EntangledQuery) -> QueryHandle:
-        """Admit one query *without* evaluating its component.
+        """Admit one query *without* running an evaluation.
 
         The control-plane half of :meth:`submit`: probe, safety-check,
         and commit the arrival (O(new edges)), returning its pending
-        handle.  The caller owes the component an evaluation — the
-        concurrent service admits on the router thread and enqueues the
-        evaluation (:meth:`evaluate_admitted_phased`) on the shard's
-        worker, so later arrivals' routing probes observe the admission
-        immediately while the expensive evaluation overlaps.  Raises
+        handle.  When the arrival's weak component has no preprocessing
+        survivors, the handle comes back *settled*: its ``outcome`` is
+        already the one an evaluation would record, and nothing is owed.
+        Otherwise (``outcome`` is ``None``) the caller owes the
+        component an evaluation — the concurrent service admits on the
+        router thread and enqueues the evaluation
+        (:meth:`evaluate_admitted_phased`) on the shard's worker, so
+        later arrivals' routing probes observe the admission immediately
+        while the expensive evaluation overlaps.  Raises
         :class:`~repro.errors.PreconditionError` exactly as
         :meth:`submit` does.
         """
         self._guard()
-        return self._admit(query)
+        handle = self._admit(query)
+        self._settle((handle,))
+        return handle
 
     def submit_many(
         self, queries: Iterable[EntangledQuery]
@@ -466,7 +487,9 @@ class CoordinationEngine:
 
         Each admitted handle's ``outcome`` carries its component's
         single evaluation; handles of the same component share the
-        :class:`~repro.core.result.CoordinationResult` object.
+        :class:`~repro.core.result.CoordinationResult` object.  A
+        component with no preprocessing survivors once the whole batch
+        is admitted is settled without a run phase.
         """
         self._guard()
         handles: List[QueryHandle] = []
@@ -510,15 +533,28 @@ class CoordinationEngine:
         One global run of the SCC algorithm: at most **one** chosen
         coordinating set is retired per call (the selection criterion
         picks across all components), so callers drain by looping until
-        ``result.chosen`` is ``None``.
+        ``result.chosen`` is ``None``.  The preprocessing is read from
+        the live fixpoint; only its survivors are snapshotted.
         """
         self._guard()
+        names = self._graph.names()
+        alive, edges = self._graph.live_survivors(names)
+        stats = CoordinationStats(
+            graph_nodes=len(names),
+            graph_edges=edges,
+            preprocessing_removed=len(names) - len(alive),
+        )
+        graph = self._graph
+        if len(alive) != len(names):
+            graph = graph.restricted_to(alive)
         result = scc_coordinate_on_graph(
             self.db,
-            self._graph,
+            graph,
             choose=self.choose,
+            run_preprocessing=False,
             reuse_groundings=self.reuse_groundings,
             component_cache=self._component_cache(),
+            stats=stats,
         )
         if result.chosen is not None:
             satisfied = result.chosen.members
@@ -595,7 +631,9 @@ class CoordinationEngine:
         The batch building block shared by :meth:`submit_many` and the
         sharded service: handles are grouped by weak component and each
         component is evaluated exactly once; every handle of a group
-        receives that single evaluation as its ``outcome``.
+        receives that single evaluation as its ``outcome``.  A
+        component with no preprocessing survivors is settled without a
+        run phase.
 
         ``between`` is the control-lane yield hook: when given, it runs
         after each component's evaluation commits, at a point where the
@@ -609,7 +647,7 @@ class CoordinationEngine:
         self._guard()
         groups = self._group_by_component(admitted)
         for index, group in enumerate(groups):
-            self._evaluate_component(group[0].query, group)
+            self._evaluate_component(group)
             if between is not None and index + 1 < len(groups):
                 between()
 
@@ -624,11 +662,12 @@ class CoordinationEngine:
         :attr:`lock` itself, in two short critical sections around the
         expensive middle:
 
-        1. **plan** (locked): group handles by weak component, run the
-           preprocessing fixpoint on the live graph
-           (:meth:`~repro.core.coordination_graph.CoordinationGraph.survivors`,
-           O(component), nothing copied), snapshot only the survivors'
-           induced subgraph
+        1. **plan** (locked): group handles by weak component, read the
+           live preprocessing fixpoint
+           (:meth:`~repro.core.coordination_graph.CoordinationGraph.live_survivors`,
+           one pass over the component), settle a component with no
+           survivors on the spot, and for the others snapshot only the
+           survivors' induced subgraph
            (:meth:`~repro.core.coordination_graph.CoordinationGraph.restricted_to`
            returns an independent core) and stamp-check the state cache;
         2. **run** (unlocked): the SCC algorithm over the survivors'
@@ -654,10 +693,11 @@ class CoordinationEngine:
         """
         with self.lock:
             self._guard()
-            plans = [
-                (group, self._evaluation_plan(group[0].query))
-                for group in self._group_by_component(admitted)
-            ]
+            plans = []
+            for group in self._group_by_component(admitted):
+                plan = self._evaluation_plan(group)
+                if plan is not None:
+                    plans.append((group, plan))
         finished = []
         for group, plan in plans:
             finished.append((group, plan, self._run_evaluation(plan)))
@@ -665,7 +705,7 @@ class CoordinationEngine:
                 between()
         with self.lock:
             for group, plan, result in finished:
-                self._commit_evaluation(plan, result, group)
+                self._commit_evaluation(plan.component, result, group)
 
     def _group_by_component(
         self, admitted: Sequence[QueryHandle]
@@ -725,32 +765,59 @@ class CoordinationEngine:
         self._handles[query.name] = handle
         return handle
 
-    def _evaluate_component(
-        self, name: str, admitted: Tuple[QueryHandle, ...]
-    ) -> None:
-        """Evaluate ``name``'s weak component; retire a chosen set."""
-        plan = self._evaluation_plan(name)
-        self._commit_evaluation(plan, self._run_evaluation(plan), admitted)
+    def _evaluate_component(self, admitted: Tuple[QueryHandle, ...]) -> None:
+        """Evaluate the weak component of ``admitted``; retire a chosen set."""
+        plan = self._evaluation_plan(admitted)
+        if plan is not None:
+            self._commit_evaluation(
+                plan.component, self._run_evaluation(plan), admitted
+            )
 
-    def _evaluation_plan(self, name: str) -> "_EvaluationPlan":
+    def _settle(
+        self, admitted: Sequence[QueryHandle]
+    ) -> Optional[Tuple[Tuple[str, ...], Tuple[str, ...], int]]:
+        """Settle the weak component of ``admitted`` if nothing in it
+        survives preprocessing (own the lock).
+
+        A settled component records the outcome
+        :func:`~repro.core.scc_coordination.scc_coordinate_on_graph`
+        returns on an empty survivor snapshot — no chosen set, no
+        candidates, the whole component's counters — and returns
+        ``None``.  It reads no database, so a later write cannot change
+        it.  Otherwise returns ``(component, survivors, edges)`` for
+        the plan.  One pass over the members; no edge is walked."""
+        component = tuple(sorted(self._components.members(admitted[0].query)))
+        # A weak component is closed under edges, so ``edges`` is its
+        # collapsed edge count.
+        alive, edges = self._graph.live_survivors(component)
+        if alive:
+            return component, alive, edges
+        result = CoordinationResult(
+            None, [], _component_stats(component, edges, len(component))
+        )
+        self._commit_evaluation(component, result, admitted)
+        return None
+
+    def _evaluation_plan(
+        self, admitted: Sequence[QueryHandle]
+    ) -> Optional["_EvaluationPlan"]:
         """Control-plane half of one component evaluation (own the lock).
 
-        Runs the preprocessing fixpoint on the live graph, then
-        snapshots everything the unlocked run needs: the component's
-        member list, the survivors' induced subgraph (an independent
-        core — later mutations of the live graph cannot reach it), the
-        component's counters, and the stamp-checked state cache."""
-        component = tuple(sorted(self._components.members(name)))
-        alive, removed = self._graph.survivors(component)
-        # A weak component is closed under edges, so its collapsed edge
-        # count is its members' out-degree sum in the live graph.
-        digraph = self._graph.graph
-        edges = sum(digraph.out_degree(member) for member in component)
+        Settles a component with no preprocessing survivors (no plan,
+        ``None``); otherwise snapshots everything the unlocked run
+        needs: the component's member list, the survivors' induced
+        subgraph (an independent core — later mutations of the live
+        graph cannot reach it), the component's counters, and the
+        stamp-checked state cache."""
+        settled = self._settle(admitted)
+        if settled is None:
+            return None
+        component, alive, edges = settled
         return _EvaluationPlan(
             component,
             self._graph.restricted_to(alive),
             edges,
-            len(removed),
+            len(component) - len(alive),
             self._component_cache(),
         )
 
@@ -763,11 +830,7 @@ class CoordinationEngine:
         replica) and cache writes through the cache's mutex.  The plan
         phase already preprocessed, so the run starts at the SCC pass
         and reports the whole component's counters."""
-        stats = CoordinationStats(
-            graph_nodes=len(plan.component),
-            graph_edges=plan.edges,
-            preprocessing_removed=plan.removed,
-        )
+        stats = _component_stats(plan.component, plan.edges, plan.removed)
         return scc_coordinate_on_graph(
             self.db,
             plan.survivors,
@@ -780,20 +843,22 @@ class CoordinationEngine:
 
     def _commit_evaluation(
         self,
-        plan: "_EvaluationPlan",
+        component: Tuple[str, ...],
         result: CoordinationResult,
         admitted: Sequence[QueryHandle],
     ) -> None:
-        """Record outcomes and retire the chosen set (own the lock)."""
+        """Record outcomes and retire the chosen set (own the lock).
+
+        Every outcome passes through here, settled or evaluated."""
         satisfied: Tuple[str, ...] = ()
         if result.chosen is not None:
             satisfied = result.chosen.members
         for handle in admitted:
             handle.outcome = ArrivalOutcome(
-                handle.query, plan.component, result, satisfied
+                handle.query, component, result, satisfied
             )
         if satisfied:
-            self._retire(satisfied, plan.component, result)
+            self._retire(satisfied, component, result)
 
     def _retire(
         self,
@@ -886,7 +951,7 @@ class CoordinationEngine:
                 self._component_states.clear()
             self._db_stamp = stamp
             self._db_stamps = stamps
-        elif len(self._component_states) > self._MAX_COMPONENT_STATES:
+        if len(self._component_states) > self._MAX_COMPONENT_STATES:
             self._component_states.clear()
         return self._component_states
 

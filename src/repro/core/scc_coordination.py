@@ -244,7 +244,7 @@ def scc_coordinate_on_graph(
 
     ``stats`` (optional) are counters to continue instead of fresh ones
     sized from ``graph``.  A caller that preprocessed a larger graph
-    itself — the online engine runs the fixpoint on its live graph and
+    itself — the online engine reads the live fixpoint of its graph and
     passes only the survivors' snapshot — hands in that graph's
     ``graph_nodes``, ``graph_edges`` and ``preprocessing_removed`` with
     ``run_preprocessing=False``, so the result reports the same counters

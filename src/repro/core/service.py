@@ -58,7 +58,13 @@ writes (:meth:`insert`) barrier behind *all* outstanding evaluations.
 Blocking :meth:`submit` additionally waits for its own evaluation, so
 its handles resolve with byte-identical outcomes to the serial path;
 :meth:`submit_nowait` returns right after admission and lets the
-evaluation overlap.
+evaluation overlap.  An arrival whose component has no preprocessing
+survivors is *settled* at admission
+(:meth:`~repro.core.engine.CoordinationEngine.admit` returns its
+outcome, a hosted shard's ``admit`` reply carries it): no evaluation is
+posted and the component is never marked busy.  The freeze rule already
+lets an admission enter only an idle component, so an outcome recorded
+there is the one an inline evaluation would record.
 
 User resolution callbacks fire on a dedicated dispatcher thread, never
 on a shard worker, so a callback may re-enter the service without
@@ -151,6 +157,36 @@ from .lifecycle import (
 from .query import EntangledQuery
 from .result import CoordinationResult
 from .scc_coordination import SelectionCriterion, largest_candidate
+
+
+def _owed_evaluations(
+    group: Sequence[QueryHandle], components: Sequence[Tuple[str, ...]]
+) -> Tuple[Tuple[QueryHandle, ...], Set[str]]:
+    """The batch members of one shard that still owe an evaluation,
+    and the union of their components (the names to freeze).
+
+    ``components`` are the members' weak components once the whole
+    batch is admitted.  A member settled at its admission stays settled
+    only if no other batch member shares its final component: only a
+    later admission can grow a component during the batch (the freeze
+    rule keeps running evaluations off it), a later member that joined
+    makes the settled outcome stale, and the members of one component
+    must share one result object.  Every other member is owed an
+    evaluation (which settles its component again, run phase free, if
+    nothing in it survives); a stale admission outcome is cleared until
+    then.
+    """
+    sharing: Dict[Tuple[str, ...], int] = {}
+    for component in components:
+        sharing[component] = sharing.get(component, 0) + 1
+    owed: List[QueryHandle] = []
+    frozen: Set[str] = set()
+    for handle, component in zip(group, components):
+        if handle.outcome is None or sharing[component] > 1:
+            handle.outcome = None
+            owed.append(handle)
+            frozen.update(component)
+    return tuple(owed), frozen
 
 
 def _weak_callback(method: Any) -> Any:
@@ -670,8 +706,11 @@ class ShardedCoordinationService:
         :class:`~repro.errors.PreconditionError` exactly like
         :meth:`submit`; only the component evaluation is deferred to
         the shard's worker.  The returned handle is ``PENDING`` with no
-        ``outcome`` yet; it resolves from the worker when a later
-        evaluation completes its coordinating set
+        ``outcome`` yet — unless its component has no preprocessing
+        survivors, in which case it is settled at admission and comes
+        back with its outcome and no evaluation pending; it resolves
+        from the worker when a later evaluation completes its
+        coordinating set
         (:meth:`~repro.core.lifecycle.QueryHandle.wait` blocks for
         that), and :meth:`drain` waits for evaluation quiescence.  In
         serial mode this is simply :meth:`submit`.
@@ -747,10 +786,12 @@ class ShardedCoordinationService:
             for target, group in by_shard.items():
                 engine = self._engines[target]
                 with engine.lock:
-                    frozen: Set[str] = set()
-                    for handle in group:
-                        frozen.update(engine.component_of(handle.query))
-                futures.append(self._post_eval(target, tuple(group), frozen))
+                    components = [
+                        engine.component_of(handle.query) for handle in group
+                    ]
+                owed, frozen = _owed_evaluations(group, components)
+                if owed:
+                    futures.append(self._post_eval(target, owed, frozen))
             self._journal_append(("submit_many", tuple(batch)))
         return handles, futures
 
@@ -1105,7 +1146,9 @@ class ShardedCoordinationService:
                 raised = False
             finally:
                 self._journal_append(("submit", query, raised))
-            future = self._post_eval(target, (handle,), set(component))
+            future = None
+            if handle.outcome is None:  # not settled at admission
+                future = self._post_eval(target, (handle,), set(component))
         return handle, future
 
     def _route_and_admit(self, query: EntangledQuery):

@@ -126,8 +126,11 @@ def execute_command(engine: CoordinationEngine, message: dict) -> dict:
     op = message["op"]
     if op == "admit":
         query = wire.decode_query(message["query"])
-        engine.admit(query)
-        return {"component": list(engine.component_of(query.name))}
+        handle = engine.admit(query)
+        reply = {"component": list(engine.component_of(query.name))}
+        if handle.outcome is not None:  # settled: no evaluate owed
+            reply["outcome"] = _encode_outcome(handle)
+        return reply
     if op == "incident":
         query = wire.decode_query(message["query"])
         return {"names": list(engine.incident_pending(query))}
@@ -162,17 +165,26 @@ def execute_command(engine: CoordinationEngine, message: dict) -> dict:
     raise PreconditionError(f"unknown worker command {op!r}")
 
 
+def _encode_outcome(handle: QueryHandle) -> dict:
+    return {
+        "query": handle.query,
+        "component": list(handle.outcome.component),
+        "result": wire.encode_result(handle.outcome.result),
+        "satisfied": list(handle.outcome.satisfied),
+    }
+
+
 def _encode_outcomes(handles: Sequence[QueryHandle]) -> List[dict]:
-    return [
-        {
-            "query": handle.query,
-            "component": list(handle.outcome.component),
-            "result": wire.encode_result(handle.outcome.result),
-            "satisfied": list(handle.outcome.satisfied),
-        }
-        for handle in handles
-        if handle.outcome is not None
-    ]
+    return [_encode_outcome(handle) for handle in handles if handle.outcome is not None]
+
+
+def _decode_outcome(record: dict) -> ArrivalOutcome:
+    return ArrivalOutcome(
+        record["query"],
+        tuple(record["component"]),
+        wire.decode_result(record["result"]),
+        tuple(record["satisfied"]),
+    )
 
 
 def evaluate_phased(engine: CoordinationEngine, message: dict) -> dict:
@@ -403,12 +415,18 @@ class ShardProxy:
         behind an in-flight ``evaluate`` frame.  Safe mid-evaluation
         because the service's freeze rule guarantees the arrival touches
         no component under evaluation, and the worker only services the
-        lane at engine-consistent points.
+        lane at engine-consistent points.  A reply for a settled arrival
+        (no preprocessing survivors in its component) carries the
+        outcome, so the handle returns settled, exactly as
+        :meth:`~repro.core.engine.CoordinationEngine.admit` returns it.
         """
         reply = self._control_request(
             {"op": "admit", "query": wire.encode_query(query)}
         )
         handle = QueryHandle(query)
+        outcome = reply.get("outcome")
+        if outcome is not None:
+            handle.outcome = _decode_outcome(outcome)
         self._handles[query.name] = handle
         self._component_hint = {query.name: tuple(reply["component"])}
         return handle
@@ -587,12 +605,7 @@ class ShardProxy:
         for record in reply.get("outcomes", ()):
             handle = self._handles.get(record["query"])
             if handle is not None:
-                handle.outcome = ArrivalOutcome(
-                    record["query"],
-                    tuple(record["component"]),
-                    wire.decode_result(record["result"]),
-                    tuple(record["satisfied"]),
-                )
+                handle.outcome = _decode_outcome(record)
         for record in reply.get("resolutions", ()):
             handle = self._handles.pop(record["query"], None)
             if handle is None:

@@ -43,6 +43,7 @@ from service_testing import (
     DB_SIZE,
     EVALUATION_PATHS,
     assert_invariants,
+    assert_same_counters,
     chosen_bytes,
     flight_query,
     partner_stream,
@@ -114,6 +115,40 @@ def test_submit_many_equivalence_with_workers():
             assert chosen_bytes(ours.result) == chosen_bytes(theirs.result)
         assert set(service.pending()) == set(engine.pending())
         assert_invariants(service)
+
+
+def test_batch_settles_a_component_only_once_the_whole_batch_is_admitted():
+    """A member settled at its admission stays settled only when no
+    later member joins its component: the two members of one dead-end
+    chain get one shared result from an evaluation job, as a single
+    engine's ``submit_many`` gives them, while a lone dead-end member
+    keeps its admission-time outcome and posts no job."""
+    db = members_database(size=DB_SIZE, seed=2012)
+    engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
+    batch = [
+        partner_query(member_name(1), [member_name(2)]),
+        partner_query(member_name(2), [member_name(3)]),  # 3 never arrives
+        partner_query(member_name(5), [member_name(6)]),  # 6 never arrives
+    ]
+    with ShardedCoordinationService(db, ServiceConfig(workers=2)) as service:
+        posted = []
+        for worker in service._workers:
+
+            def post(job, post=worker.post):
+                posted.append(job)
+                return post(job)
+
+            worker.post = post
+        ours = service.submit_many(batch)
+        theirs = engine.submit_many(batch)
+        for mine, expected in zip(ours, theirs):
+            assert mine.state is expected.state is QueryState.PENDING
+            assert mine.component == expected.component
+            assert mine.result.chosen is None
+            assert_same_counters(mine.result, expected.result)
+        assert ours[0].result is ours[1].result
+        assert ours[0].component == (member_name(1), member_name(2))
+        assert len(posted) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -521,6 +521,25 @@ def test_unrelated_insert_keeps_component_cache(reuse_states):
     assert len(result.chosen.members) == 3
 
 
+def test_state_cache_cap_holds_across_unrelated_writes(monkeypatch):
+    """The size cap is enforced on every evaluation, including one that
+    follows a database write (the write's eviction evicts nothing here,
+    because no pending body reads the written relation)."""
+    cap = 4
+    monkeypatch.setattr(CoordinationEngine, "_MAX_COMPONENT_STATES", cap)
+    db = members_database(size=DB_SIZE, seed=2012)
+    db.create_relation("Audit", ["event", "at"])
+    engine = CoordinationEngine(db)
+    for index in range(12):
+        db.insert("Audit", ("login", index))
+        # No postconditions, no member row: survives preprocessing and
+        # fails at the database, leaving one cached state.
+        handle = engine.submit(partner_query(member_name(DB_SIZE + index), []))
+        assert handle.result.stats.db_queries == 1
+        assert len(engine._component_states) <= cap + 1
+    assert len(engine.pending()) == 12
+
+
 def test_empty_domain_completion_is_not_stranded_by_relation_eviction():
     """A cached non-failed state with no assignment (free-variable
     completion failed on an empty active domain) depends on the whole

@@ -1,15 +1,20 @@
 """Preprocessing on the live coordination graph.
 
-The online engine runs the postcondition-satisfiability fixpoint
-(:meth:`CoordinationGraph.survivors`) on its live graph and snapshots
-only the survivors, instead of snapshotting the whole weak component and
-preprocessing the copy.  None of that may be observable:
+The online engine keeps the postcondition-satisfiability fixpoint live
+in its graph (:meth:`CoordinationGraph.live_survivors`), snapshots only
+the survivors, and settles a component with no survivors without an
+evaluation.  None of that may be observable:
 
-* the graph-level fixpoint equals the dictionary-rebuilding
-  preprocessing it replaced (kept below as the reference), on random
-  query sets with unsafe multi-head postconditions and self-edges;
-* every engine evaluation returns exactly the result the SCC algorithm
-  computes on a snapshot of the whole component taken just before it;
+* the from-scratch fixpoint (:meth:`CoordinationGraph.survivors`)
+  equals the dictionary-rebuilding preprocessing it replaced (kept
+  below as the reference), on random query sets with unsafe multi-head
+  postconditions and self-edges;
+* after every submit, retract, flush, release/adopt round trip and
+  insert, the live survivor set and per-postcondition counts equal a
+  from-scratch fixpoint, with and without the safety check;
+* every recorded outcome, evaluated or settled, is exactly the result
+  the SCC algorithm computes on a snapshot of the whole component taken
+  just before it;
 * admission tokens keep the memoized standardized atoms of a re-admitted
   query object from reviving its stale index entries.
 """
@@ -31,6 +36,7 @@ from repro.core import (
     scc_coordinate_on_graph,
 )
 from repro.core.coordination_graph import ExtendedEdge
+from repro.db import Database
 from repro.errors import PreconditionError
 from repro.logic import Atom, Variable
 from repro.networks import member_name
@@ -158,7 +164,134 @@ def test_fixpoint_ignores_unknown_and_repeated_names():
 
 
 # ---------------------------------------------------------------------------
-# Every engine evaluation against a snapshot of its whole component
+# The live fixpoint against a from-scratch one, after every event
+# ---------------------------------------------------------------------------
+def assert_live_fixpoint(graph: CoordinationGraph) -> None:
+    """The live survivors and per-postcondition counts of ``graph`` equal
+    a from-scratch fixpoint over all its queries."""
+    names = graph.names()
+    expected, _ = graph.survivors(names)
+    assert graph.live_survivors(names) == (expected, graph.graph.edge_count())
+    core = graph._core
+    assert core.alive == set(expected)
+    assert core.support == {
+        (name, pi): sum(
+            1
+            for edge in graph.edges_from_postcondition(name, pi)
+            if edge.target in core.alive
+        )
+        for name in names
+        for pi in range(len(graph.standardized[name].postconditions))
+    }
+
+
+def _apply(engine, event, db) -> None:
+    kind = event[0]
+    pending = sorted(engine.pending())
+    if kind == "submit":
+        try:
+            engine.submit(event[1])
+        except PreconditionError:
+            pass
+    elif kind == "batch":
+        engine.submit_many(event[1])
+    elif kind == "retract" and pending:
+        engine.retract(pending[event[1] % len(pending)])
+    elif kind == "roundtrip" and pending:
+        engine.adopt(engine.release_component(pending[event[1] % len(pending)]))
+    elif kind == "flush":
+        engine.flush()
+    elif kind == "insert":
+        db.insert(*event[1])
+
+
+_stream_queries = st.builds(
+    lambda name, posts, heads: EntangledQuery(
+        name, posts, heads, [Atom("D", [Variable("x")])]
+    ),
+    st.sampled_from([f"q{index}" for index in range(6)]),
+    st.lists(_atoms, max_size=2),
+    st.lists(_atoms, min_size=1, max_size=2),
+)
+_stream_events = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), _stream_queries),
+        st.tuples(st.just("submit"), _stream_queries),
+        st.tuples(st.just("batch"), st.lists(_stream_queries, max_size=3)),
+        st.tuples(st.just("retract"), st.integers(0, 99)),
+        st.tuples(st.just("roundtrip"), st.integers(0, 99)),
+        st.tuples(st.just("flush")),
+        st.tuples(
+            st.just("insert"),
+            st.sampled_from(["a", "b", "c"]).map(lambda v: ("D", (v,))),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@given(_stream_events, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_live_fixpoint_matches_a_from_scratch_one_after_every_event(
+    events, check_safety
+):
+    db = Database()
+    db.create_relation("D", ["v"])
+    db.insert("D", ("a",))
+    engine = CoordinationEngine(db, check_safety=check_safety)
+    for event in events:
+        _apply(engine, event, db)
+        assert_live_fixpoint(engine._graph)
+
+
+def test_live_fixpoint_on_partner_streams_with_every_event_kind():
+    rows = [
+        ("Members", (member_name(i), "EU", "games", i))
+        for i in range(DB_SIZE, DB_SIZE + 10)
+    ]
+    for seed in range(4):
+        for check_safety in (True, False):
+            rng = random.Random(seed)
+            db = members_database(size=DB_SIZE, seed=2012)
+            engine = CoordinationEngine(db, check_safety=check_safety)
+            for event in _with_inserts(rng, partner_stream(rng, 120)):
+                if event[0] == "insert":
+                    event = ("insert", rows[event[1] % len(rows)])
+                elif rng.random() < 0.05:
+                    _apply(engine, ("flush",), db)
+                elif rng.random() < 0.05:
+                    _apply(engine, ("roundtrip", rng.randrange(99)), db)
+                _apply(engine, event, db)
+                assert_live_fixpoint(engine._graph)
+
+
+def test_closing_a_three_cycle_revives_two_removed_queries():
+    """Each of a → b → c → a waits on the next; the last arrival makes
+    the two queries removed before it survive again, and the cycle
+    coordinates."""
+    engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
+    a, b, c = (member_name(i) for i in (1, 2, 3))
+    for name, partner in ((a, b), (b, c)):
+        handle = engine.admit(partner_query(name, [partner]))
+        assert handle.outcome is not None  # settled at admission
+        assert handle.result.stats.preprocessing_removed == len(handle.component)
+        assert engine._graph.live_survivors(engine.pending())[0] == ()
+        assert_live_fixpoint(engine._graph)
+
+    handle = engine.admit(partner_query(c, [a]))
+    assert handle.outcome is None  # owed an evaluation
+    assert engine._graph.live_survivors(engine.pending())[0] == (a, b, c)
+    assert_live_fixpoint(engine._graph)
+
+    engine.evaluate_admitted([handle])
+    assert handle.state is QueryState.SATISFIED
+    assert set(handle.satisfied) == {a, b, c}
+    assert engine.pending() == ()
+    assert_live_fixpoint(engine._graph)
+
+
+# ---------------------------------------------------------------------------
+# Every recorded outcome against a snapshot of its whole component
 # ---------------------------------------------------------------------------
 def _summary(result):
     chosen = result.chosen
@@ -173,27 +306,33 @@ def _summary(result):
 
 class CheckedEngine(CoordinationEngine):
     """Runs the SCC algorithm on a snapshot of the whole component, taken
-    from the graph as it is before the evaluation, next to every real
-    evaluation, and records both results."""
+    from the graph as it is before the outcome is recorded, next to every
+    recorded outcome — evaluated or settled without a run — and records
+    both results."""
 
     def __init__(self, db, **options) -> None:
         super().__init__(db, **options)
         self.checked: List[Tuple[tuple, tuple]] = []
+        self._cache_before = None
 
     def _run_evaluation(self, plan):
-        # A copy of the state cache: the reference hits exactly the
-        # entries the real run hits, and writes nothing the real run sees.
-        cache = None if plan.cache is None else dict(plan.cache)
+        # A copy of the state cache as the run finds it: the reference
+        # hits exactly the entries the real run hits, and writes nothing
+        # the real run sees.  A settled outcome has no run and no cache.
+        self._cache_before = None if plan.cache is None else dict(plan.cache)
+        return super()._run_evaluation(plan)
+
+    def _commit_evaluation(self, component, result, admitted):
+        cache, self._cache_before = self._cache_before, None
         expected = scc_coordinate_on_graph(
             self.db,
-            self._graph.restricted_to(plan.component),
+            self._graph.restricted_to(component),
             choose=self.choose,
             reuse_groundings=self.reuse_groundings,
             component_cache=cache,
         )
-        actual = super()._run_evaluation(plan)
-        self.checked.append((_summary(actual), _summary(expected)))
-        return actual
+        self.checked.append((_summary(result), _summary(expected)))
+        super()._commit_evaluation(component, result, admitted)
 
 
 def _drive(engine, events, db, insert_rows) -> None:
@@ -216,9 +355,14 @@ def _assert_all_equal(engine) -> None:
     for actual, expected in engine.checked:
         assert actual == expected
     # The streams exercise both halves: the fixpoint removes queries,
-    # and survivors go on to coordinate.
+    # and survivors go on to coordinate.  Settled outcomes (everything
+    # removed, no run) are among those compared.
     assert any(actual[2]["preprocessing_removed"] for actual, _ in engine.checked)
     assert any(actual[0] is not None for actual, _ in engine.checked)
+    assert any(
+        actual[2]["preprocessing_removed"] == actual[2]["graph_nodes"]
+        for actual, _ in engine.checked
+    )
 
 
 def _with_inserts(rng, events, share=0.08):

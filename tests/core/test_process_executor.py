@@ -52,6 +52,7 @@ from repro.workloads.flights import user_name, worst_case_database
 from service_testing import (
     DB_SIZE,
     assert_invariants,
+    assert_same_counters,
     chosen_bytes,
     flight_query,
     partner_stream,
@@ -144,9 +145,56 @@ def test_submit_many_equivalence_with_process_workers():
         for ours, theirs in zip(service_handles, engine_handles):
             assert ours.state is theirs.state
             assert ours.satisfied == theirs.satisfied
+            assert ours.component == theirs.component
             assert chosen_bytes(ours.result) == chosen_bytes(theirs.result)
+            if theirs.result is not None:
+                assert_same_counters(ours.result, theirs.result)
         assert set(service.pending()) == set(engine.pending())
         assert_invariants(service)
+
+
+def _spy_on_frames(service) -> list:
+    """Record ``(op, control lane)`` of every frame the router sends."""
+    sent = []
+    for proxy in service._engines:
+        transact = proxy._transact
+
+        def spy(frame, control=False, transact=transact):
+            sent.append((wire.loads(frame)["op"], control))
+            return transact(frame, control)
+
+        proxy._transact = spy
+    return sent
+
+
+def test_dead_end_arrival_settles_at_admission_without_an_evaluate_frame():
+    """An arrival whose component has no preprocessing survivors comes
+    back from ``submit_nowait`` with its outcome set by the ``admit``
+    reply, and the router sends no main-lane ``evaluate`` for it."""
+    db = members_database(size=DB_SIZE, seed=2012)
+    engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
+    waiting = partner_query(member_name(1), [member_name(2)])
+    completing = partner_query(member_name(2), [member_name(1)])
+    with process_service(db, workers=2) as service:
+        sent = _spy_on_frames(service)
+        handle = service.submit_nowait(waiting)
+        assert ("admit", True) in sent
+        assert handle.state is QueryState.PENDING
+        assert handle.outcome is not None
+        expected = engine.submit(waiting)
+        assert handle.component == expected.component == (member_name(1),)
+        assert handle.result.chosen is None
+        assert handle.result.stats.as_dict() == expected.result.stats.as_dict()
+        assert service.drain(timeout=DRAIN_TIMEOUT)
+        assert ("evaluate", False) not in sent
+
+        # The partner closes the cycle: that arrival is owed an evaluation.
+        partner = service.submit(completing)
+        assert ("evaluate", False) in sent
+        assert partner.state is QueryState.SATISFIED
+        assert partner.satisfied == engine.submit(completing).satisfied
+        assert handle.wait(timeout=DRAIN_TIMEOUT)
+        assert handle.state is QueryState.SATISFIED
 
 
 @pytest.mark.parametrize("workers", [None, 2])

@@ -5,7 +5,10 @@ Hypothesis drives structure generation; the invariants are:
 1. every candidate any algorithm reports passes Definition 1;
 2. the SCC algorithm finds a set iff the exponential oracle does;
 3. the consistent algorithm's outcome converts to a Definition-1
-   witness of its lowered entangled queries.
+   witness of its lowered entangled queries;
+4. online, every component the engine settles without an evaluation
+   has no coordinating set by the exhaustive oracle, and every set it
+   retires passes Definition 1 against the database at its commit.
 """
 
 from hypothesis import given, settings
@@ -14,9 +17,12 @@ from hypothesis import strategies as st
 from repro.core import (
     ConsistentQuery,
     ConsistentSetup,
+    CoordinationEngine,
     FriendSlot,
     NamedPartner,
+    QueryState,
     consistent_coordinate,
+    coordinating_set_exists,
     find_coordinating_set,
     lower_all,
     outcome_witness,
@@ -25,9 +31,10 @@ from repro.core import (
     verify_result_set,
 )
 from repro.db import DatabaseBuilder
+from repro.errors import PreconditionError
 from repro.graphs import DiGraph
 from repro.networks import member_name
-from repro.workloads import queries_from_structure
+from repro.workloads import partner_query, queries_from_structure
 
 # ---------------------------------------------------------------------------
 # Random partner structures (safe workloads for the SCC algorithm)
@@ -76,6 +83,87 @@ def test_scc_existence_matches_oracle(case):
     assert result.found == (oracle is not None)
     for candidate in result.candidates:
         assert verify_result_set(db, queries, candidate).ok
+
+
+# ---------------------------------------------------------------------------
+# Online partner streams: settlements and retirements against the paper
+# ---------------------------------------------------------------------------
+def _arrival(n):
+    return st.tuples(
+        st.integers(0, n - 1), st.sets(st.integers(0, n - 1), max_size=2)
+    )
+
+
+_online_streams = st.integers(min_value=3, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.integers(0, n - 1), max_size=2),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("submit"), _arrival(n)),
+                st.tuples(st.just("submit"), _arrival(n)),
+                st.tuples(st.just("batch"), st.lists(_arrival(n), max_size=3)),
+                st.tuples(st.just("retract"), st.integers(0, 99)),
+                st.tuples(st.just("insert"), st.integers(0, n - 1)),
+            ),
+            max_size=20,
+        ),
+    )
+)
+
+
+def _user_query(arrival):
+    user, partners = arrival
+    return partner_query(member_name(user), [member_name(p) for p in sorted(partners)])
+
+
+@given(_online_streams)
+@settings(max_examples=80, deadline=None)
+def test_online_settlements_and_retirements_agree_with_the_paper(case):
+    n, missing, events = case
+    db = _partner_db(n, missing)
+    engine = CoordinationEngine(db)
+    admitted = {}  # name -> the query object pending (or retired) under it
+
+    def check(handles):
+        handles = [h for h in handles if h.state is not QueryState.REJECTED]
+        for handle in handles:
+            admitted[handle.query] = handle.entangled
+        for handle in handles:
+            result = handle.result
+            if result.stats.preprocessing_removed == len(handle.component):
+                # Settled: nothing in the component survived preprocessing.
+                assert result.chosen is None
+                assert not coordinating_set_exists(
+                    db, [admitted[name] for name in handle.component]
+                )
+            chosen = result.chosen
+            if chosen is not None:
+                report = verify_coordinating_set(
+                    db,
+                    [admitted[name] for name in chosen.members],
+                    chosen.members,
+                    chosen.assignment,
+                )
+                assert report.ok, report.reason
+
+    for event in events:
+        kind = event[0]
+        if kind == "submit":
+            try:
+                check([engine.submit(_user_query(event[1]))])
+            except PreconditionError:
+                pass
+        elif kind == "batch":
+            check(engine.submit_many([_user_query(a) for a in event[1]]))
+        elif kind == "retract":
+            pending = sorted(engine.pending())
+            if pending:
+                engine.retract(pending[event[1] % len(pending)])
+        elif event[1] in missing:
+            db.insert(
+                "Members", (member_name(event[1]), "EU", "games", event[1])
+            )
 
 
 # ---------------------------------------------------------------------------
