@@ -14,8 +14,7 @@ Subcommands:
 * ``online DB.json STREAM.ops [--shards N] [--workers N]
   [--executor {thread,process,remote}]
   [--remote-shard HOST:PORT ...] [--durable-dir DIR]
-  [--fsync {always,never}] [--snapshot-store {file,sqlite}]
-  [--stats]`` —
+  [--fsync {always,never}] [--stats]`` —
   replay a query-lifecycle stream through a
   :class:`~repro.core.ShardedCoordinationService` (one operation per
   line: ``submit <query>``, ``batch <query>; <query>; ...``,
@@ -26,12 +25,12 @@ Subcommands:
   concurrent executor; the replay stays deterministic because each
   line drains before the next is reported.  ``--executor process``
   hosts each shard in a worker *process* with its replica synced over
-  a framed pipe protocol — identical output, true multi-core
-  evaluation.
+  framed socket lanes — identical output, true multi-core evaluation.
   ``--executor remote`` places each shard on an already-running shard
   host (one ``--remote-shard HOST:PORT`` per shard, see
-  ``shard-host`` below); a host that dies mid-run fails over: its
-  components re-home onto a survivor and coordination continues;
+  ``shard-host`` below).  A hosted shard that dies mid-run fails
+  over: its components re-home onto a survivor and coordination
+  continues;
 * ``scenario [NAME] [--list] [--scale N] [--seed S] [--out PREFIX]``
   — the scenario catalog (:mod:`repro.scenarios`): list the named
   workloads, run one in-process through the sharded service (with the
@@ -226,9 +225,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
         from .db import DurabilityConfig
 
         durability = DurabilityConfig(
-            dir=Path(args.durable_dir),
-            fsync=args.fsync,
-            snapshot_store=args.snapshot_store,
+            dir=Path(args.durable_dir), fsync=args.fsync
         )
     remote_shards = tuple(
         _parse_address(spec) for spec in (args.remote_shard or ())
@@ -539,9 +536,7 @@ def _cmd_shard_host(args: argparse.Namespace) -> int:
     from .core import ShardHost
 
     host, port = _parse_address(args.address)
-    shard_host = ShardHost(
-        host=host, port=port, worker_threads=args.worker_threads
-    )
+    shard_host = ShardHost(host=host, port=port)
     bound_host, bound_port = shard_host.start()
     # The bound address is the machine-readable contract: port 0 asks
     # the OS for a free port, and whoever spawned this process reads
@@ -737,13 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         "kill -9; default: always)",
     )
     online.add_argument(
-        "--snapshot-store",
-        choices=["file", "sqlite"],
-        default="file",
-        help="snapshot storage with --durable-dir: one file per "
-        "generation, or a WAL-journaled SQLite table (default: file)",
-    )
-    online.add_argument(
         "--batch",
         type=int,
         default=1,
@@ -816,13 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         "address",
         help="bind address as HOST:PORT (port 0 picks a free port; the "
         "bound address is printed)",
-    )
-    shard_host.add_argument(
-        "--worker-threads",
-        type=int,
-        default=8,
-        metavar="N",
-        help="size of the host's evaluation thread pool (default: 8)",
     )
     shard_host.set_defaults(func=_cmd_shard_host)
 

@@ -1,21 +1,23 @@
 """Shared framed-socket client plumbing for every network endpoint.
 
 Two things in this library speak length-prefixed :mod:`repro.db.wire`
-frames over TCP: the gateway protocol
+frames over stream sockets: the gateway protocol
 (:class:`~repro.core.gateway.GatewayClient` against a
-:class:`~repro.core.gateway.Gateway`) and the remote shard fabric
-(:class:`~repro.core.remote.RemoteShardTransport` against a
-:class:`~repro.core.remote.ShardHost`).  Both use the same stream
-framing — a 4-byte big-endian length prefix followed by one wire frame
-(magic + version + CRC-32 + compact JSON) — and the same
-connect/retry/close lifecycle.  This module holds that one surface:
+:class:`~repro.core.gateway.Gateway`) and every hosted shard — a
+process shard over a socket pair, a remote shard over TCP to a
+:class:`~repro.core.remote.ShardHost`, both ends of each lane
+(:mod:`repro.core.transport`).  All use the same stream framing — a
+4-byte big-endian length prefix followed by one wire frame (magic +
+version + CRC-32 + compact JSON) — and the same close lifecycle.  This
+module holds that one surface:
 
 * :func:`pack_frame` / :func:`checked_length` — the framing primitives
   (bounded by :data:`MAX_FRAME`: a longer prefix is a corrupt or
   hostile stream, not a big request);
 * :class:`FramedEndpoint` — one blocking socket with
-  ``send_message``/``recv_message``, bounded connect retries, and a
-  best-effort ``close``.
+  ``send_message``/``recv_message``, bounded connect retries (or
+  :meth:`FramedEndpoint.connected` around a socket that is already
+  connected), and a best-effort ``close``.
 
 Error surfacing is caller-configurable (the ``error`` parameter):
 the gateway client raises its protocol-level
@@ -66,14 +68,17 @@ def checked_length(
 
 
 class FramedEndpoint:
-    """One blocking framed-socket connection (client side).
+    """One blocking framed-socket connection.
 
     Connects eagerly, with ``retries`` additional attempts spaced
     ``retry_delay`` seconds apart — a remote peer that is still binding
     its listener (a just-spawned shard host) costs a short wait, not a
-    failure.  Not thread-safe: callers serialize access (the gateway
-    client is documented one-per-thread; the shard proxy holds a lane
-    mutex around every round trip).
+    failure.  :meth:`connected` wraps a socket that is already
+    connected instead (a socket-pair end, an accepted connection).  Not
+    thread-safe: callers serialize access (the gateway client is
+    documented one-per-thread; the shard proxy holds a lane mutex
+    around every round trip; a worker serves each lane from one
+    thread).
     """
 
     def __init__(
@@ -103,6 +108,19 @@ class FramedEndpoint:
             assert last is not None
             raise last
         self._sock.settimeout(timeout)
+
+    @classmethod
+    def connected(
+        cls,
+        sock: socket.socket,
+        error: Type[BaseException] = ClientError,
+    ) -> "FramedEndpoint":
+        """Wrap an already-connected blocking socket."""
+        endpoint = cls.__new__(cls)
+        endpoint._error = error
+        endpoint._sock = sock
+        sock.settimeout(None)
+        return endpoint
 
     # -- transport -------------------------------------------------------
     def set_timeout(self, timeout: Optional[float]) -> None:
@@ -141,7 +159,16 @@ class FramedEndpoint:
         return wire.loads(self.recv_frame())
 
     def close(self) -> None:
-        """Close the socket (best-effort, idempotent)."""
+        """Shut down and close the socket (best-effort, idempotent).
+
+        The shutdown wakes a thread blocked reading this socket and
+        ends the peer's stream even where another process still holds
+        a copy of the descriptor; a bare ``close`` does neither.
+        """
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, already shut down, or peer gone
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - close is best-effort

@@ -637,9 +637,9 @@ class CoordinationEngine:
 
         ``between`` is the control-lane yield hook: when given, it runs
         after each component's evaluation commits, at a point where the
-        engine is fully consistent.  The process worker host uses it to
-        service control-pipe frames (routing probes, admissions for
-        *other* components) between evaluation steps — the
+        engine is fully consistent.  The thread executor's shard worker
+        uses it to serve its control lane (routing probes, admissions
+        for *other* components) between evaluation steps — the
         component-freeze rule keeps everything a control command may
         touch disjoint from the components of this batch, so the
         byte-identical equivalence argument is unchanged.

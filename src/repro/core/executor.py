@@ -33,10 +33,10 @@ The service's *executor seam* is the choice of what a shard's data
 plane runs on.  ``executor="thread"`` (this module) keeps the engines
 in-process behind :class:`ShardWorker` mailboxes; ``executor="process"``
 (:mod:`repro.core.procexec`) hosts each engine in a worker *process*
-behind a framed pipe, and ``executor="remote"``
+over a socket pair, and ``executor="remote"``
 (:mod:`repro.core.remote`) hosts it on another machine over TCP — both
-behind the shard-proxy protocol of :mod:`repro.core.transport`, with
-the same mailbox threads acting as I/O waiters — see
+behind the one hosted-shard transport of :mod:`repro.core.transport`,
+with the same mailbox threads acting as I/O waiters — see
 :func:`resolve_executor`.
 """
 

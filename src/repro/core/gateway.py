@@ -4,8 +4,8 @@
 :class:`~repro.core.service.ShardedCoordinationService`: an
 ``asyncio`` socket server speaking length-prefixed
 :mod:`repro.db.wire` frames (the same versioned, CRC-checked,
-pickle-free codec the process executor uses on its pipes — a 4-byte
-big-endian length prefix is all the stream transport adds).  Clients
+pickle-free codec and the same 4-byte big-endian length prefix that
+every hosted shard's lanes carry, see :mod:`repro.client`).  Clients
 submit entangled queries, retract, insert facts, and flush; the
 gateway translates request bursts into
 :meth:`~repro.core.service.ShardedCoordinationService.submit_many_nowait`

@@ -1,54 +1,55 @@
-"""Process-based shard transport: one engine shard per worker *process*.
+"""Process shards: one engine shard per forkserver child process.
 
 The worker-thread executor (:mod:`repro.core.executor`) decouples the
 accept path from evaluation — but on GIL builds the data plane still
-shares one interpreter.  This module
-moves each shard across a process boundary, the way a parallel DBMS
-scales its data plane.
+shares one interpreter.  This module moves each shard across a process
+boundary, the way a parallel DBMS scales its data plane.  It is the
+local binding of the hosted-shard seam (:mod:`repro.core.transport`),
+which owns the proxy, the two lanes, the lane loop and the worker-side
+command dispatch:
 
-Both halves are thin wrappers over the transport seam
-(:mod:`repro.core.transport`), which owns the shard-proxy protocol,
-the two-lane architecture and the worker-side command dispatch:
-
-* :func:`_host_main` — the worker process.  It builds one
+* :func:`_host_main` — the child process.  It builds one
   :class:`~repro.core.transport.WorkerSession` (a private lock-free
   :class:`~repro.db.Database` replica plus a full
-  :class:`~repro.core.engine.CoordinationEngine`) and serves framed
-  commands (:mod:`repro.db.wire`) off a duplex pipe; with
-  ``control_lane=True`` a dedicated daemon thread
-  (:func:`_control_main`) services a second pipe so probes are
-  answered mid-``evaluate`` — one GIL switch interval plus a short
-  critical section, not a whole component evaluation.
+  :class:`~repro.core.engine.CoordinationEngine`) and serves its main
+  socket with :func:`~repro.core.transport.serve_lane`; with a control
+  socket, a daemon thread serves that lane too, so probes are answered
+  mid-``evaluate`` — one GIL switch interval plus a short critical
+  section, not a whole component evaluation.
 
 * :class:`ProcessShardExecutor` — the router-side
-  :class:`~repro.core.transport.ShardProxy` whose transport is a pair
-  of multiprocessing pipes.  It adds only what is pipe-specific:
-  process spawning, ``process_alive``, an exit-code-bearing death
-  message, and the graceful stop → ``terminate`` → ``kill`` ladder
-  (budgeted by :data:`repro.concurrency.SHUTDOWN_GRACE` by default).
+  :class:`~repro.core.transport.ShardProxy`.  Its lanes are
+  :func:`socket.socketpair` ends; the child ends and the session
+  options travel to the child as process arguments, so there is no
+  listener and no handshake, and the constructor does not wait for
+  the child.  It adds process spawning, ``process_alive``, an
+  exit-code-bearing death message, and the join → ``terminate`` →
+  ``kill`` ladder after the graceful stop.
 
-Worker death is a first-class failure: a broken pipe marks the shard
-dead, rejects its pending handles with a reason naming the crash (so
-``wait`` returns and callbacks fire instead of hanging), and raises
-:class:`~repro.errors.ConcurrencyError` from the in-flight call —
-``drain``/``submit``/``retract`` surface the error, they never hang.
+A dead child is a dead hosted shard like any other: its broken lane
+raises :class:`~repro.errors.ConcurrencyError` from the in-flight call,
+and the service re-homes its components onto a surviving shard
+(DESIGN.md §13), or rejects them with a reason naming the crash when no
+shard survives.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import socket
 import sys
 import threading
 from typing import Optional
 
-from ..concurrency import SHUTDOWN_GRACE, Deadline
-from ..db import Database, wire
+from ..client import FramedEndpoint
+from ..concurrency import Deadline
+from ..db import Database
 from .transport import (
     CONTROL_SWITCH_INTERVAL,
     ShardProxy,
     WorkerSession,
-    error_reply,
+    serve_lane,
 )
 
 #: Environment override for the multiprocessing start method (testing /
@@ -88,78 +89,39 @@ def _mp_context():
 # ---------------------------------------------------------------------------
 # Worker-process side
 # ---------------------------------------------------------------------------
-def _control_main(control, session: WorkerSession) -> None:
-    """Control-lane service loop: one daemon thread per worker process.
-
-    Each frame executes under the engine lock, contending only with
-    the short plan/commit critical sections of a phased ``evaluate``
-    (and with replica sync writes) — never with the expensive unlocked
-    run phase.  A broken control pipe retires the lane silently: the
-    main lane and its ``stop`` protocol keep working, and process exit
-    reaps this daemon thread.
-    """
-    while True:
-        try:
-            frame = control.recv_bytes()
-        except (EOFError, OSError):
-            return
-        try:
-            reply = session.handle_control(wire.loads(frame))
-        except BaseException as error:  # noqa: BLE001 - undecodable frame
-            reply = error_reply(error)
-        try:
-            control.send_bytes(wire.dumps(reply))
-        except (EOFError, OSError):
-            return
-
-
-def _host_main(connection, control, options: dict) -> None:
-    """Entry point of one shard worker process.
+def _host_main(
+    main: socket.socket, control: Optional[socket.socket], options: dict
+) -> None:
+    """Entry point of one shard child process.
 
     Builds the session (private lock-free replica + engine), then
-    serves framed commands until a ``stop`` command or EOF (router
-    gone).  Every main-lane reply carries the resolution records the
-    command produced, in resolution order, so the router's handle
-    states never lag.  With a ``control`` pipe the worker mirrors the
-    thread executor's two-lane split *internally* — see
+    serves the main lane until a ``stop`` command or EOF (router
+    gone).  With a ``control`` socket a daemon thread serves the
+    control lane, and main-lane ``evaluate`` runs phased: the thread
+    executor's two-lane split, inside the child (see
     :mod:`repro.core.transport` for the architecture and the
-    equivalence argument.
+    equivalence argument).  Each control frame runs under the engine
+    lock, contending only with the short plan/commit sections of a
+    phased ``evaluate`` and with replica sync writes, never with the
+    unlocked run phase.  A broken control lane ends only its thread:
+    the main lane and its ``stop`` keep working, and process exit
+    reaps the thread.
     """
-    session = WorkerSession(
-        check_safety=options["check_safety"],
-        reuse_groundings=options["reuse_groundings"],
-        reuse_component_states=options["reuse_component_states"],
-        plan_cache=options.get("plan_cache", True),
-        composite_indexes=options.get("composite_indexes", True),
-    )
+    session = WorkerSession(**options)
     if control is not None:
         session.phased = True
         sys.setswitchinterval(CONTROL_SWITCH_INTERVAL)
         threading.Thread(
-            target=_control_main,
-            args=(control, session),
+            target=serve_lane,
+            args=(
+                FramedEndpoint.connected(control, EOFError),
+                session.handle_control,
+                False,
+            ),
             name="repro-procexec-control",
             daemon=True,
         ).start()
-
-    while True:
-        try:
-            frame = connection.recv_bytes()
-        except (EOFError, OSError):
-            return
-        stop = False
-        try:
-            message = wire.loads(frame)
-            reply = session.handle_main(message)
-            stop = message.get("op") == "stop"
-        except BaseException as error:  # noqa: BLE001 - undecodable frame
-            reply = error_reply(error)
-        try:
-            connection.send_bytes(wire.dumps(reply))
-        except (EOFError, OSError):
-            return
-        if stop:
-            return
+    serve_lane(FramedEndpoint.connected(main, EOFError), session.handle_main)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +132,9 @@ class ProcessShardExecutor(ShardProxy):
 
     The generic proxy protocol — engine surface, two-lane request
     serialization, write-token-gated replica sync, handle mirroring,
-    death handling — lives in :class:`~repro.core.transport.ShardProxy`;
-    this class supplies the pipe transport and the process lifecycle.
+    death handling, the graceful stop — lives in
+    :class:`~repro.core.transport.ShardProxy`; this class supplies the
+    socket pairs and the process lifecycle.
     """
 
     def __init__(
@@ -179,28 +142,23 @@ class ProcessShardExecutor(ShardProxy):
         db: Database,
         index: int,
         check_safety: bool = True,
-        reuse_groundings: bool = False,
         reuse_component_states: bool = True,
         control_lane: bool = True,
         plan_cache: bool = True,
         composite_indexes: bool = True,
     ) -> None:
         ctx = _mp_context()
-        parent_end, child_end = ctx.Pipe(duplex=True)
-        if control_lane:
-            control_parent, control_child = ctx.Pipe(duplex=True)
-        else:
-            control_parent = control_child = None
-        self._conn = parent_end
-        self._control_conn = control_parent
+        main, child_main = socket.socketpair()
+        control, child_control = (
+            socket.socketpair() if control_lane else (None, None)
+        )
         self._process = ctx.Process(
             target=_host_main,
             args=(
-                child_end,
-                control_child,
+                child_main,
+                child_control,
                 {
                     "check_safety": check_safety,
-                    "reuse_groundings": reuse_groundings,
                     "reuse_component_states": reuse_component_states,
                     "plan_cache": plan_cache,
                     "composite_indexes": composite_indexes,
@@ -209,24 +167,20 @@ class ProcessShardExecutor(ShardProxy):
             name=f"repro-shard-proc-{index}",
             daemon=True,
         )
-        self._process.start()
-        child_end.close()
-        if control_child is not None:
-            control_child.close()
+        try:
+            self._process.start()
+        finally:
+            # The child holds its own copies of these ends (or never will).
+            child_main.close()
+            if child_control is not None:
+                child_control.close()
         # Register the write listener only after the spawn succeeded.
-        super().__init__(db, index, control_lane=control_lane)
-
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def _transact(self, frame: bytes, control: bool = False) -> bytes:
-        conn = self._control_conn if control else self._conn
-        conn.send_bytes(frame)
-        return conn.recv_bytes()
-
-    @property
-    def _has_control(self) -> bool:
-        return self._control_conn is not None
+        super().__init__(
+            db,
+            index,
+            FramedEndpoint.connected(main, EOFError),
+            None if control is None else FramedEndpoint.connected(control, EOFError),
+        )
 
     def _describe_death(self, error: BaseException) -> str:
         return (
@@ -234,47 +188,8 @@ class ProcessShardExecutor(ShardProxy):
             f"(exitcode {self._process.exitcode}): {error!r}"
         )
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def process_alive(self) -> bool:
-        """Whether the shard's worker process is still running."""
-        return self._process.is_alive()
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-    def stop(self, timeout: Optional[float] = SHUTDOWN_GRACE) -> bool:
-        """Stop the worker process; best-effort within ``timeout``.
-
-        Graceful first (a ``stop`` command, so the worker exits its
-        loop cleanly), then ``terminate``, then ``kill`` — the call
-        never hangs on a wedged or dead child, and it is idempotent and
-        safe to run after a crash.  The default budget is
-        :data:`repro.concurrency.SHUTDOWN_GRACE`; pass ``None`` for an
-        unbounded wait.  Returns ``True`` when the process is gone on
-        return.
-        """
-        self.db.remove_write_listener(self._listener)
-        deadline = Deadline(timeout)
-        if not self._stopped and self._dead is None and self._process.is_alive():
-            remaining = deadline.remaining()
-            acquired = (
-                self._io.acquire()
-                if remaining is None
-                else self._io.acquire(timeout=remaining)
-            )
-            if acquired:
-                try:
-                    self._conn.send_bytes(wire.dumps({"op": "stop"}))
-                    if self._conn.poll(deadline.remaining()):
-                        self._conn.recv_bytes()
-                except (EOFError, OSError, ValueError):
-                    pass
-                finally:
-                    self._io.release()
-        self._stopped = True
+    def _teardown(self, deadline: Deadline) -> bool:
+        """Join the child, then ``terminate`` it, then ``kill`` it."""
         self._process.join(deadline.remaining())
         if self._process.is_alive():
             self._process.terminate()
@@ -282,12 +197,12 @@ class ProcessShardExecutor(ShardProxy):
         if self._process.is_alive():  # pragma: no cover - last resort
             self._process.kill()
             self._process.join(deadline.remaining())
-        gone = not self._process.is_alive()
-        if gone:
-            self._conn.close()
-            if self._control_conn is not None:
-                self._control_conn.close()
-        return gone
+        return not self._process.is_alive()
+
+    @property
+    def process_alive(self) -> bool:
+        """Whether the shard's worker process is still running."""
+        return self._process.is_alive()
 
     def __repr__(self) -> str:
         state = (

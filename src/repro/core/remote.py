@@ -1,35 +1,33 @@
 """TCP shard transport: engine shards hosted on other machines.
 
-The third implementation of the shard seam
-(:mod:`repro.core.transport`), and the multi-node half of the fabric:
+The network binding of the hosted-shard seam
+(:mod:`repro.core.transport`), and the multi-node half of the fabric.
+The lanes, their frames, the lane loop and the proxy are the seam's;
+this module adds the listener, the handshake and the address:
 
 * :class:`ShardHost` — the worker side, a standalone server any
-  machine can run (``python -m repro shard-host HOST:PORT``).  It is
-  the gateway's asyncio architecture pointed inward: an event loop on
-  a daemon thread accepts connections speaking length-prefixed
-  :mod:`repro.db.wire` frames (the same stream framing the gateway
-  uses — see :mod:`repro.client`), and each router connects with a
-  small **hello handshake** that names its lane and session.  A main
-  lane builds one :class:`~repro.core.transport.WorkerSession`
-  (private lock-free replica + engine); a control lane attaches to it
-  and flips the session to phased evaluation — frames on different
-  connections execute on different pool threads, so a control probe is
-  answered mid-``evaluate`` exactly as in the worker process.  Frames
-  on *one* connection execute strictly in order (the request/reply
-  discipline every lane requires).  An undecodable or
-  version-mismatched frame — a router speaking a different
-  ``db/wire`` version — is answered with a clean error reply and the
-  connection closed; the host never crashes on it.
+  machine can run (``python -m repro shard-host HOST:PORT``).  It is a
+  listening socket, an accept thread, and one blocking thread per
+  accepted connection.  Each router lane opens with a small **hello
+  handshake** that names its lane and session: a main lane builds one
+  :class:`~repro.core.transport.WorkerSession` (private lock-free
+  replica + engine); a control lane attaches to it and flips the
+  session to phased evaluation.  The connection's thread then runs
+  :func:`~repro.core.transport.serve_lane`, the same loop a process
+  shard's child runs, so frames on one connection execute strictly in
+  order while a control probe on another is answered mid-``evaluate``.
+  An undecodable or version-mismatched frame — a router speaking a
+  different ``db/wire`` version — is answered with a clean error reply
+  and the connection closed; the host never crashes on it.
 
 * :class:`RemoteShardTransport` — the router-side
-  :class:`~repro.core.transport.ShardProxy` whose transport is a pair
-  of TCP connections.  On construction it performs **replica warm-up**:
-  one ``sync=True`` round trip ships the authoritative database as a
-  bulk :func:`~repro.db.wire.build_sync` snapshot (the stamp vector
-  starts empty), so the first evaluation pays no sync cost and a shard
-  joining mid-stream starts from current state.  Steady-state sync is
-  the usual write-token-gated stamp diff, now with tombstone tails —
-  retract-heavy workloads no longer grow remote replicas unboundedly.
+  :class:`~repro.core.transport.ShardProxy` whose lanes are two TCP
+  connections.  Its stamp vector starts empty, like a process
+  shard's, so the first ``sync=True`` command ships the authoritative
+  database as one bulk :func:`~repro.db.wire.build_sync` snapshot and a
+  shard joining mid-stream starts from current state.  Steady-state
+  sync is the usual write-token-gated stamp diff, with tombstone
+  tails.
 
 Failover is the service's job, not this module's: the proxy reports
 death through the seam's :attr:`~repro.core.transport.ShardProxy.on_death`
@@ -39,14 +37,13 @@ re-homes the orphaned components to a surviving shard.
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import sys
 import threading
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple, Union
 
-from ..client import FramedEndpoint, checked_length
+from ..client import FramedEndpoint
 from ..concurrency import SHUTDOWN_GRACE, Deadline
 from ..db import Database, wire
 from ..errors import ConcurrencyError, PreconditionError, ReproError
@@ -55,6 +52,8 @@ from .transport import (
     ShardProxy,
     WorkerSession,
     error_reply,
+    send_reply,
+    serve_lane,
 )
 
 #: Accepted lane names in the hello handshake.
@@ -88,36 +87,27 @@ def parse_address(spec: Address) -> Tuple[str, int]:
 class ShardHost:
     """Host engine shards for remote routers, over TCP.
 
-    Lifecycle mirrors :class:`~repro.core.gateway.Gateway`: the event
-    loop runs on a daemon thread, ``start()`` returns the bound
-    address (``port=0`` binds ephemerally), ``close()`` tears down
-    within :data:`~repro.concurrency.SHUTDOWN_GRACE`.  One host serves
-    any number of shard sessions — each router main-lane connection
-    owns a private :class:`~repro.core.transport.WorkerSession`, so
-    several services (or several shards of one service) can share a
-    host process.
+    ``start()`` binds (``port=0`` binds ephemerally) and returns the
+    bound address; ``close()`` tears down within
+    :data:`~repro.concurrency.SHUTDOWN_GRACE`.  One host serves any
+    number of shard sessions — each router main-lane connection owns a
+    private :class:`~repro.core.transport.WorkerSession`, so several
+    services (or several shards of one service) can share a host
+    process.  Every connection has its own thread, so no lane waits
+    for another's frames.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        worker_threads: int = 8,
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self.port = port
-        self._pool = ThreadPoolExecutor(
-            max_workers=worker_threads, thread_name_prefix="repro-shard-host"
-        )
         self._sessions: Dict[str, WorkerSession] = {}
+        self._listener: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
         self._address: Optional[Tuple[str, int]] = None
-        self._conn_tasks: set = set()
-        self._writers: set = set()
+        # Guards the session table and the live lanes below.
+        self._lock = threading.Lock()
+        self._lanes: Dict[socket.socket, threading.Thread] = {}
+        self._closing = False
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -136,16 +126,18 @@ class ShardHost:
         """Bind, start serving on a background thread, return the address."""
         if self._thread is not None:
             raise PreconditionError("shard host already started")
+        family = socket.getaddrinfo(
+            self.host, self.port, type=socket.SOCK_STREAM
+        )[0][0]
+        self._listener = socket.create_server(
+            (self.host, self.port), family=family
+        )
+        self._address = self._listener.getsockname()[:2]
+        self._closing = False
         self._thread = threading.Thread(
-            target=self._run, name="repro-shard-host-loop", daemon=True
+            target=self._accept_loop, name="repro-shard-host-accept", daemon=True
         )
         self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            self._thread = None
-            raise self._startup_error
-        assert self._address is not None
         return self._address
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -157,18 +149,28 @@ class ShardHost:
         return not thread.is_alive()
 
     def close(self, timeout: Optional[float] = SHUTDOWN_GRACE) -> None:
-        """Stop serving and drop every session (idempotent)."""
+        """Stop serving and drop every session (idempotent).
+
+        Shuts down the listener and every live connection, which wakes
+        the accept thread and every lane thread blocked on a read; a
+        lane mid-command finishes it, finds its peer gone and ends.
+        """
         if self._thread is None:
             return
-        loop, shutdown = self._loop, self._shutdown
-        if loop is not None and shutdown is not None:
+        deadline = Deadline(timeout)
+        with self._lock:
+            self._closing = True
+            sockets = [self._listener, *self._lanes]
+            threads = [self._thread, *self._lanes.values()]
+        for sock in sockets:
             try:
-                loop.call_soon_threadsafe(shutdown.set)
-            except RuntimeError:  # pragma: no cover - loop already gone
-                pass
-        self._thread.join(timeout)
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # not connected, or already shut down
+        for thread in threads:
+            thread.join(deadline.remaining())
+        self._listener.close()
         self._thread = None
-        self._pool.shutdown(wait=False)
 
     def __enter__(self) -> "ShardHost":
         self.start()
@@ -177,114 +179,75 @@ class ShardHost:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- event loop ------------------------------------------------------
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:  # noqa: BLE001 - surfaced via start()
-            if not self._started.is_set():
-                self._startup_error = error
-                self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-        except OSError as error:
-            self._startup_error = error
-            self._started.set()
-            return
-        self._address = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        async with server:
-            await self._shutdown.wait()
-            for writer in list(self._writers):
-                writer.close()
-        if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=SHUTDOWN_GRACE)
-
-    async def _read_frame(self, reader) -> Optional[bytes]:
-        try:
-            prefix = await reader.readexactly(4)
-            return await reader.readexactly(
-                checked_length(prefix, ConcurrencyError)
-            )
-        except (asyncio.IncompleteReadError, OSError, ConnectionError):
-            return None
-
-    async def _send(self, writer, reply: dict) -> bool:
-        frame = wire.dumps(reply)
-        try:
-            writer.write(len(frame).to_bytes(4, "big") + frame)
-            await writer.drain()
-            return True
-        except (OSError, ConnectionError):
-            return False
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._writers.add(writer)
-        session_token: Optional[str] = None
-        lane = "main"
-        try:
-            session, session_token, lane = await self._handshake(reader, writer)
-            if session is None:
-                return
-            loop = asyncio.get_running_loop()
-            handler = (
-                session.handle_main if lane == "main" else session.handle_control
-            )
-            while True:
-                frame = await self._read_frame(reader)
-                if frame is None:
-                    return
-                stop = False
-                try:
-                    message = wire.loads(frame)
-                except ReproError as error:
-                    # A frame this router cannot even decode (foreign
-                    # wire version, corruption): reject it cleanly and
-                    # keep the host alive; the connection is useless,
-                    # so close it after replying.
-                    await self._send(writer, error_reply(error))
-                    return
-                reply = await loop.run_in_executor(self._pool, handler, message)
-                stop = lane == "main" and message.get("op") == "stop"
-                if not await self._send(writer, reply) or stop:
-                    return
-        finally:
-            if session_token is not None and lane == "main":
-                self._sessions.pop(session_token, None)
-            self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
+    # -- serving ---------------------------------------------------------
+    def _accept_loop(self) -> None:
+        while True:
             try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
+                sock, _ = self._listener.accept()
+            except OSError:
+                return  # the listener was shut down
+            # Each reply is one write; Nagle could only hold its tail
+            # back behind a delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve_connection,
+                args=(sock,),
+                name="repro-shard-host-lane",
+                daemon=True,
+            )
+            with self._lock:
+                if self._closing:
+                    sock.close()
+                    return
+                # Started under the lock, so close() never joins a
+                # thread that has not started.
+                self._lanes[sock] = thread
+                thread.start()
 
-    async def _handshake(self, reader, writer):
-        """Validate the hello frame; returns ``(session, token, lane)``.
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """One connection: the hello handshake, then its lane loop."""
+        endpoint = FramedEndpoint.connected(sock, EOFError)
+        owned: Optional[str] = None
+        try:
+            accepted = self._handshake(endpoint)
+            if accepted is None:
+                return
+            session, token, lane = accepted
+            if lane == "main":
+                owned = token
+                serve_lane(endpoint, session.handle_main)
+            else:
+                serve_lane(endpoint, session.handle_control, main=False)
+        finally:
+            with self._lock:
+                if owned is not None:
+                    self._sessions.pop(owned, None)
+                self._lanes.pop(sock, None)
+            endpoint.close()
+
+    def _handshake(
+        self, endpoint: FramedEndpoint
+    ) -> Optional[Tuple[WorkerSession, str, str]]:
+        """Read the hello frame; ``(session, token, lane)`` or ``None``.
 
         Any problem — undecodable frame (wrong wire version), a
-        non-hello first frame, an unknown lane or session — earns a
-        clean error reply, never a crash; ``(None, None, "main")``
+        non-hello first frame, an unknown lane or session, a duplicate
+        session — earns a clean error reply, never a crash; ``None``
         signals the caller to drop the connection.
         """
-        frame = await self._read_frame(reader)
-        if frame is None:
-            return None, None, "main"
         try:
-            hello = wire.loads(frame)
+            hello = endpoint.recv_message()
+            accepted = self._attach(hello if isinstance(hello, dict) else {})
+        except (EOFError, OSError):
+            return None
         except ReproError as error:
-            await self._send(writer, error_reply(error))
-            return None, None, "main"
+            send_reply(endpoint, error_reply(error))
+            return None
+        send_reply(endpoint, {"ok": True, "version": wire.VERSION})
+        return accepted
+
+    def _attach(self, hello: dict) -> Tuple[WorkerSession, str, str]:
+        """The session a valid hello opens (main) or joins (control)."""
         lane = hello.get("lane", "main")
         token = hello.get("session")
         if (
@@ -292,56 +255,33 @@ class ShardHost:
             or lane not in _LANES
             or not isinstance(token, str)
         ):
-            await self._send(
-                writer,
-                error_reply(
-                    PreconditionError(
-                        "expected a hello frame "
-                        "{op: 'hello', lane: 'main'|'control', session: str}"
-                    )
-                ),
+            raise PreconditionError(
+                "expected a hello frame "
+                "{op: 'hello', lane: 'main'|'control', session: str}"
             )
-            return None, None, "main"
-        if lane == "main":
-            if token in self._sessions:
-                await self._send(
-                    writer,
-                    error_reply(
-                        PreconditionError(f"session {token!r} already exists")
-                    ),
-                )
-                return None, None, "main"
-            options = hello.get("options") or {}
-            session = WorkerSession(
-                check_safety=bool(options.get("check_safety", True)),
-                reuse_groundings=bool(options.get("reuse_groundings", False)),
-                reuse_component_states=bool(
-                    options.get("reuse_component_states", True)
-                ),
-                plan_cache=bool(options.get("plan_cache", True)),
-                composite_indexes=bool(
-                    options.get("composite_indexes", True)
-                ),
-            )
-            self._sessions[token] = session
-        else:
+        with self._lock:
             session = self._sessions.get(token)
-            if session is None:
-                await self._send(
-                    writer,
-                    error_reply(
-                        PreconditionError(
-                            f"control lane for unknown session {token!r}"
-                        )
+            if lane == "main":
+                if session is not None:
+                    raise PreconditionError(f"session {token!r} already exists")
+                options = hello.get("options") or {}
+                session = self._sessions[token] = WorkerSession(
+                    check_safety=bool(options.get("check_safety", True)),
+                    reuse_component_states=bool(
+                        options.get("reuse_component_states", True)
+                    ),
+                    plan_cache=bool(options.get("plan_cache", True)),
+                    composite_indexes=bool(
+                        options.get("composite_indexes", True)
                     ),
                 )
-                return None, None, "main"
-            session.phased = True
-            sys.setswitchinterval(CONTROL_SWITCH_INTERVAL)
-        if not await self._send(
-            writer, {"ok": True, "version": wire.VERSION}
-        ):
-            return None, None, "main"
+                return session, token, lane
+        if session is None:
+            raise PreconditionError(
+                f"control lane for unknown session {token!r}"
+            )
+        session.phased = True
+        sys.setswitchinterval(CONTROL_SWITCH_INTERVAL)
         return session, token, lane
 
 
@@ -353,9 +293,10 @@ class RemoteShardTransport(ShardProxy):
 
     The generic proxy protocol lives in
     :class:`~repro.core.transport.ShardProxy`; this class supplies the
-    socket transport (two :class:`~repro.client.FramedEndpoint`
-    connections, one per lane, joined to one host-side session by the
-    hello handshake) and the connect-time replica warm-up.
+    lanes: two :class:`~repro.client.FramedEndpoint` connections, one
+    per lane, joined to one host-side session by the hello handshake.
+    Stopping closes them and nothing more, because the host belongs to
+    its operator.
 
     Sockets run without a read timeout by default: an ``evaluate``
     legitimately blocks for as long as evaluation takes, and a killed
@@ -370,7 +311,6 @@ class RemoteShardTransport(ShardProxy):
         index: int,
         address: Address,
         check_safety: bool = True,
-        reuse_groundings: bool = False,
         reuse_component_states: bool = True,
         control_lane: bool = True,
         timeout: Optional[float] = None,
@@ -382,24 +322,21 @@ class RemoteShardTransport(ShardProxy):
         self.session = uuid.uuid4().hex
         options = {
             "check_safety": check_safety,
-            "reuse_groundings": reuse_groundings,
             "reuse_component_states": reuse_component_states,
             "plan_cache": plan_cache,
             "composite_indexes": composite_indexes,
         }
-        self._endpoint = self._connect(
-            "main", options, timeout, connect_retries
-        )
-        self._control_endpoint = (
-            self._connect("control", options, timeout, connect_retries)
-            if control_lane
-            else None
-        )
-        super().__init__(db, index, control_lane=control_lane)
-        # Warm-up: the stamp vector starts empty, so this sync=True
-        # round trip ships the entire authoritative database as one
-        # bulk snapshot — the first evaluation pays no sync cost.
-        self._request({"op": "ping"}, sync=True)
+        main = self._connect("main", options, timeout, connect_retries)
+        try:
+            control = (
+                self._connect("control", options, timeout, connect_retries)
+                if control_lane
+                else None
+            )
+        except BaseException:
+            main.close()
+            raise
+        super().__init__(db, index, main, control)
 
     def _connect(
         self,
@@ -440,59 +377,11 @@ class RemoteShardTransport(ShardProxy):
             )
         return endpoint
 
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def _transact(self, frame: bytes, control: bool = False) -> bytes:
-        endpoint = self._control_endpoint if control else self._endpoint
-        endpoint.send_frame(frame)
-        return endpoint.recv_frame()
-
-    @property
-    def _has_control(self) -> bool:
-        return self._control_endpoint is not None
-
     def _describe_death(self, error: BaseException) -> str:
         return (
             f"shard {self.index} remote worker at "
             f"{self.host}:{self.port} died: {error!r}"
         )
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-    def stop(self, timeout: Optional[float] = SHUTDOWN_GRACE) -> bool:
-        """Disconnect from the host; best-effort within ``timeout``.
-
-        Graceful first (a ``stop`` command retires the host-side
-        session), then the sockets close unconditionally.  The host
-        process itself belongs to its operator — stopping a proxy never
-        kills the host.  Returns ``True`` (the connection is always
-        gone on return).
-        """
-        self.db.remove_write_listener(self._listener)
-        deadline = Deadline(timeout)
-        if not self._stopped and self._dead is None:
-            remaining = deadline.remaining()
-            acquired = (
-                self._io.acquire()
-                if remaining is None
-                else self._io.acquire(timeout=remaining)
-            )
-            if acquired:
-                try:
-                    self._endpoint.set_timeout(deadline.remaining())
-                    self._endpoint.send_frame(wire.dumps({"op": "stop"}))
-                    self._endpoint.recv_frame()
-                except (EOFError, OSError, ValueError):
-                    pass
-                finally:
-                    self._io.release()
-        self._stopped = True
-        self._endpoint.close()
-        if self._control_endpoint is not None:
-            self._control_endpoint.close()
-        return True
 
     def __repr__(self) -> str:
         state = "stopped" if self._stopped else ("dead" if self._dead else "up")

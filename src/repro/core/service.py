@@ -72,41 +72,36 @@ deadlocking the shard that resolved it.  Handles stay thread-safe
 (:meth:`~repro.core.lifecycle.QueryHandle.wait`), and the shared
 database synchronizes reads/writes through its own reader–writer lock.
 
-Process executor (``executor="process"``)
------------------------------------------
-The same router can drive shards hosted in worker *processes*
-(:mod:`repro.core.procexec`): each shard's engine lives in a child
-process with a private lock-free database replica, commanded over a
-framed request/reply pipe (:mod:`repro.db.wire`), with replica sync
-payloads — serialized per-relation row tails keyed by ``data_versions``
-stamps — riding the evaluation commands.  Handles stay router-side
-proxies resolved from wire records, so ``wait``/callbacks/``status``
-and handle identity across migrations are unchanged, and the freeze
-rule and journal linearization apply verbatim.  A worker process that
-dies mid-stream rejects its handles with a reason naming the crash and
-surfaces :class:`~repro.errors.ConcurrencyError` from the affected
-calls — ``drain`` and blocking submits fail fast instead of hanging.
+Hosted executors (``executor="process"`` / ``"remote"``) and failover
+---------------------------------------------------------------------
+The same router can drive shards hosted outside the router's
+interpreter: in a child process (``executor="process"``,
+:mod:`repro.core.procexec`), or on another machine behind a
+:class:`~repro.core.remote.ShardHost` (``executor="remote"``,
+``remote_shards=[...]``, ``python -m repro shard-host``).  Both are one
+transport (:mod:`repro.core.transport`): each shard's engine owns a
+private lock-free database replica and is commanded over two stream
+sockets carrying framed :mod:`repro.db.wire` commands — a socket pair
+to the child, TCP to the host — with replica sync payloads
+(per-relation row and tombstone tails keyed by ``data_versions``
+stamps) riding the evaluation commands; the first one ships the whole
+database.  Handles stay router-side proxies resolved from wire
+records, so ``wait``/callbacks/``status`` and handle identity across
+migrations are unchanged, and the freeze rule and journal
+linearization apply verbatim.
 
-Remote executor (``executor="remote"``) and failover
------------------------------------------------------
-``ServiceConfig(executor="remote", remote_shards=[...])`` drives the
-same router over shards hosted on *other machines*: each address names
-a :class:`~repro.core.remote.ShardHost` (``python -m repro shard-host``)
-and gets a :class:`~repro.core.remote.RemoteShardTransport` — the TCP
-implementation of the shard seam (:mod:`repro.core.transport`), with
-connect-time snapshot warm-up and tombstone-bearing replica sync.
-Uniquely to this executor, worker death is *survivable*: the proxy's
-``on_death`` hook re-homes the dead shard's components onto the
-least-loaded surviving shard (the same release/adopt machinery as
-migration — ``adopt`` rebuilds the component graph from the queries
-themselves, so no dead-worker state is needed), failed evaluations
-re-run on the new home, and in-flight flushes restart over the
-survivors.  Re-run evaluations never committed on the dead shard
-(its reply never arrived), so the recovered outcomes stay
-byte-identical to a never-crashed service — the network kill-fuzz
-suite's contract.  With no survivor left, death degrades to the
-process executor's behaviour: orphans reject with a reason naming the
-crash.  See DESIGN.md §13.
+A hosted shard's death is *survivable*: the proxy's ``on_death`` hook
+re-homes the dead shard's components onto the least-loaded surviving
+shard (the same release/adopt machinery as migration — ``adopt``
+rebuilds the component graph from the queries themselves, so no
+dead-worker state is needed), failed evaluations re-run on the new
+home, and in-flight flushes restart over the survivors.  Re-run
+evaluations never committed on the dead shard (its reply never
+arrived), so the outcomes stay byte-identical to a never-crashed
+service — the kill -9 fuzz suites' contract.  With no survivor left,
+orphans reject with a reason naming the crash and the affected calls
+raise :class:`~repro.errors.ConcurrencyError` — ``drain`` and blocking
+submits fail fast instead of hanging.  See DESIGN.md §13.
 
 Because the invariant holds at every step, the service returns
 **identical coordinating sets** (same members, same assignments) as a
@@ -138,7 +133,7 @@ from ..db.durability import (
     resolve_durability,
 )
 from ..db.stats import evaluation_cost
-from ..errors import ConcurrencyError, PreconditionError
+from ..errors import ConcurrencyError, PreconditionError, ReproError
 from .engine import CoordinationEngine
 from .executor import (
     CallbackDispatcher,
@@ -148,6 +143,7 @@ from .executor import (
 )
 from .procexec import ProcessShardExecutor
 from .remote import Address, RemoteShardTransport
+from .transport import ShardProxy
 from .lifecycle import (
     QueryHandle,
     QueryState,
@@ -223,7 +219,6 @@ class ServiceConfig:
     workers: Optional[int] = None
     choose: SelectionCriterion = largest_candidate
     check_safety: bool = True
-    reuse_groundings: bool = False
     reuse_component_states: bool = True
     mailbox_capacity: int = 1024
     executor: str = "thread"
@@ -285,22 +280,21 @@ class ShardedCoordinationService:
         Bound on each shard's job mailbox (worker mode).  A full
         mailbox blocks the enqueueing thread — the service's
         backpressure against unbounded arrival bursts.
-    choose, check_safety, reuse_groundings, reuse_component_states:
+    choose, check_safety, reuse_component_states:
         Forwarded to every shard's
         :class:`~repro.core.engine.CoordinationEngine`.
     executor:
         What a shard's data plane runs on: ``"thread"`` (default)
-        keeps the engines in-process; ``"process"`` hosts each shard's
-        engine in a worker *process* owning a private lock-free
-        database replica, commanded over a framed pipe protocol
-        (:mod:`repro.core.procexec`); ``"remote"`` hosts it on another
-        machine behind a :class:`~repro.core.remote.ShardHost`,
-        commanded over TCP with the same framing — see
-        ``remote_shards`` and the module docstring's failover section.
-        Outcomes are byte-identical across executors; with
-        ``workers=N`` the same mailbox threads drive the shards,
-        acting as I/O waiters while the evaluations run in the worker
-        processes (true parallelism on GIL builds).
+        keeps the engines in-process; the hosted executors give each
+        shard's engine a private lock-free database replica, commanded
+        over two framed socket lanes — ``"process"`` in a worker
+        *process* (:mod:`repro.core.procexec`), ``"remote"`` on another
+        machine behind a :class:`~repro.core.remote.ShardHost` (see
+        ``remote_shards``).  A dead hosted shard fails over; see the
+        module docstring.  Outcomes are byte-identical across
+        executors; with ``workers=N`` the same mailbox threads drive
+        the shards, acting as I/O waiters while the evaluations run in
+        the shard processes (true parallelism on GIL builds).
     remote_shards:
         Remote executor only: one :class:`~repro.core.remote.ShardHost`
         address (``"host:port"`` or ``(host, port)``) per shard; the
@@ -321,13 +315,14 @@ class ShardedCoordinationService:
         never crashed (the crash-recovery fuzz suite's contract).
     control_lane:
         Hosted executors only: whether each hosted shard gets the
-        second (priority) lane for control commands, so routing probes
-        and admissions never queue behind an in-flight ``evaluate``
-        frame.  Default ``True``; ``False`` restores the
-        pre-control-lane blocking path (the latency benchmark's
-        baseline).  Thread workers always have their in-process
-        control lane, so ``False`` under ``executor="thread"`` is
-        rejected rather than silently ignored.
+        second (control) socket lane, served by its own worker-side
+        thread, so routing probes and admissions never queue behind an
+        in-flight ``evaluate`` frame.  Default ``True``; ``False``
+        sends control commands down the main lane, the blocking path
+        (the latency benchmark's baseline).  Thread workers always
+        have their in-process control lane, so ``False`` under
+        ``executor="thread"`` is rejected rather than silently
+        ignored.
     """
 
     #: Router ops between opportunistic rebalance checks.
@@ -355,7 +350,6 @@ class ShardedCoordinationService:
         workers = config.workers
         choose = config.choose
         check_safety = config.check_safety
-        reuse_groundings = config.reuse_groundings
         reuse_component_states = config.reuse_component_states
         mailbox_capacity = config.mailbox_capacity
         executor = config.executor
@@ -419,7 +413,6 @@ class ShardedCoordinationService:
                                 db,
                                 index,
                                 check_safety=check_safety,
-                                reuse_groundings=reuse_groundings,
                                 reuse_component_states=reuse_component_states,
                                 control_lane=control_lane,
                                 plan_cache=db.plan_cache_enabled,
@@ -433,7 +426,6 @@ class ShardedCoordinationService:
                                 index,
                                 remote_shards[index],
                                 check_safety=check_safety,
-                                reuse_groundings=reuse_groundings,
                                 reuse_component_states=reuse_component_states,
                                 control_lane=control_lane,
                                 plan_cache=db.plan_cache_enabled,
@@ -452,19 +444,18 @@ class ShardedCoordinationService:
                     db,
                     choose=choose,
                     check_safety=check_safety,
-                    reuse_groundings=reuse_groundings,
                     reuse_component_states=reuse_component_states,
                 )
                 for _ in range(shards)
             ]
-        # Probe fan-out pool: under the process executor each per-shard
-        # incident probe is a control-lane IPC round trip whose latency
-        # is one worker component boundary; probing N shards
-        # sequentially pays N boundary waits per arrival.  The pipes
-        # are per-shard, so the probes genuinely overlap — fanning them
-        # out caps routing at ~one boundary wait regardless of shard
-        # count.  Thread shards answer probes in-process in
-        # microseconds, where a pool would only add overhead.
+        # Probe fan-out pool: under a hosted executor each per-shard
+        # incident probe is a control-lane round trip whose latency is
+        # one worker component boundary; probing N shards sequentially
+        # pays N boundary waits per arrival.  The lanes are per-shard,
+        # so the probes genuinely overlap — fanning them out caps
+        # routing at ~one boundary wait regardless of shard count.
+        # Thread shards answer probes in-process in microseconds, where
+        # a pool would only add overhead.
         self._probe_pool: Optional[ThreadPoolExecutor] = None
         if self.executor in ("process", "remote") and shards > 1:
             self._probe_pool = ThreadPoolExecutor(
@@ -487,7 +478,7 @@ class ShardedCoordinationService:
         # load by, instead of raw pending counts.
         self._costs: List[int] = [0] * shards
         self._query_cost: Dict[str, int] = {}
-        #: Whether process shards carry the second (control) pipe; the
+        #: Whether hosted shards carry the second (control) lane; the
         #: thread executor's worker control lane is always present.
         self.control_lane = control_lane
         self._final_states: Dict[str, QueryState] = {}
@@ -503,11 +494,6 @@ class ShardedCoordinationService:
         self.rebalances = 0
         #: Queries re-homed off dead shards by failover (monotone).
         self.failovers = 0
-        # Failover is a remote-executor behaviour: a dead worker
-        # *process* keeps its established contract (orphans reject, the
-        # error surfaces) — local children are respawnable, whereas a
-        # dead remote host is a partition the fabric must survive.
-        self._failover = self.executor == "remote"
         # Bumped once per observed shard death (under the tables lock);
         # the routing loop re-probes when it moves mid-probe, because a
         # death re-homes components between shards exactly like a
@@ -531,7 +517,7 @@ class ShardedCoordinationService:
         on_resolved = _weak_callback(self._on_shard_resolved)
         for engine in self._engines:
             engine.on_resolved(on_resolved)
-            if self._failover:
+            if isinstance(engine, ShardProxy):
                 engine.on_death = _weak_callback(self._handle_shard_death)
         #: The durable store when the service persists itself
         #: (``None`` in-memory).  See the ``durability`` parameter.
@@ -606,11 +592,11 @@ class ShardedCoordinationService:
         """Round-trip a control-lane probe to one shard's worker.
 
         Returns the shard's pending names, read on the worker itself —
-        the latency yardstick the control lane exists for: under the
-        process executor the probe rides the second pipe (serviced
-        between component evaluations instead of queueing behind an
-        in-flight ``evaluate`` frame); in thread-worker mode it rides
-        the worker's priority lane.  Serial services answer inline.
+        the latency yardstick the control lane exists for: under a
+        hosted executor the probe rides the control lane (served
+        mid-evaluation instead of queueing behind an in-flight
+        ``evaluate`` frame); in thread-worker mode it rides the
+        worker's priority lane.  Serial services answer inline.
         """
         engine = self._engines[shard]
         if self.executor in ("process", "remote"):
@@ -835,10 +821,8 @@ class ShardedCoordinationService:
                         # name); chase the routing table.  Each retry
                         # implies an observed shard death, so the loop
                         # terminates.
-                        if self._failover and (
-                            not getattr(engine, "alive", True)
-                            or self._shard_of.get(name) not in (None, shard)
-                        ):
+                        moved = self._shard_of.get(name) not in (None, shard)
+                        if moved or not getattr(engine, "alive", True):
                             continue
                         raise error
                     raised = False
@@ -1094,9 +1078,7 @@ class ShardedCoordinationService:
         moved = 0
         for _ in range(max_moves):
             scores = self.shard_cost_scores()
-            candidates = (
-                self.live_shards if self._failover else range(len(scores))
-            )
+            candidates = self.live_shards
             if len(candidates) < 2:
                 break
             hot = max(candidates, key=lambda i: (scores[i], -i))
@@ -1179,7 +1161,7 @@ class ShardedCoordinationService:
         """
 
         def probe(engine) -> Tuple[str, ...]:
-            if self._failover and not getattr(engine, "alive", True):
+            if not getattr(engine, "alive", True):
                 # A dead shard holds nothing: its components were
                 # re-homed (and will answer from their new shard) or
                 # rejected.  The caller's death-counter re-probe covers
@@ -1189,7 +1171,7 @@ class ShardedCoordinationService:
                 with engine.lock:
                     return engine.incident_pending(query)
             except ConcurrencyError:
-                if self._failover and not getattr(engine, "alive", True):
+                if not getattr(engine, "alive", True):
                     return ()
                 raise
 
@@ -1316,9 +1298,7 @@ class ShardedCoordinationService:
         outcomes either way; this only evens the *work*.
         """
         scores = self.shard_cost_scores()
-        candidates = (
-            self.live_shards if self._failover else range(len(scores))
-        )
+        candidates = self.live_shards
         if not candidates:
             raise ConcurrencyError("no live shard left to place on")
         return min(candidates, key=lambda i: (scores[i], i))
@@ -1416,7 +1396,7 @@ class ShardedCoordinationService:
             raise
 
     # ------------------------------------------------------------------
-    # Failover (remote executor)
+    # Failover (hosted executors)
     # ------------------------------------------------------------------
     def _handle_shard_death(
         self, proxy, orphans: List[QueryHandle]
@@ -1431,8 +1411,7 @@ class ShardedCoordinationService:
         the tables lock and the survivor's control lane.  Returning
         ``True`` re-homed the orphans (the proxy skips its default
         rejection); anything else falls back to rejecting them with
-        the death reason — the process executor's established
-        semantics, and the terminal state when no shard survives.
+        the death reason — the terminal state when no shard survives.
         """
         target: Optional[int] = None
         with self._tables:
@@ -1488,11 +1467,11 @@ class ShardedCoordinationService:
         adopts a dead shard's orphans as one batch, so re-homed
         batchmates share a destination), or ``None`` when the failure
         is not a survivable shard death — the shard is still alive (a
-        genuine command failure), failover is off, the hook fell back
-        to rejection (the names are gone from the routing table), or
-        the hook never settled within the grace budget.
+        genuine command failure, or a thread shard), the hook fell
+        back to rejection (the names are gone from the routing table),
+        or the hook never settled within the grace budget.
         """
-        if not self._failover or getattr(self._engines[shard], "alive", True):
+        if getattr(self._engines[shard], "alive", True):
             return None
         names = [handle.query for handle in handles]
 
@@ -1536,6 +1515,7 @@ class ShardedCoordinationService:
 
     def _flush_once(self) -> List[CoordinationResult]:
         while True:
+            before = self.live_shards
             try:
                 return self._flush_round()
             except ConcurrencyError:
@@ -1550,21 +1530,19 @@ class ShardedCoordinationService:
                 # outcome is unaffected).  Terminates: every retry
                 # requires another dead shard, and with none left alive
                 # the round itself raises.
-                if not self._failover:
-                    raise
                 alive = self.live_shards
-                if not alive or len(alive) == len(self._engines):
-                    # Nobody left to flush, or nobody died — the error
-                    # is a real worker failure either way.
+                if not alive or len(alive) == len(before):
+                    # Nobody left to flush, or nobody died during this
+                    # round — the error is a real worker failure either
+                    # way.
                     raise
                 self._failover_settled()
 
     def _flush_round(self) -> List[CoordinationResult]:
         targets = [
             index
-            for index in range(len(self._engines))
-            if not self._failover
-            or getattr(self._engines[index], "alive", True)
+            for index, engine in enumerate(self._engines)
+            if getattr(engine, "alive", True)
         ]
         if not targets:
             raise ConcurrencyError("no live shard left to flush")

@@ -1,46 +1,49 @@
-"""The transport-agnostic shard seam: one proxy protocol, N transports.
+"""The hosted-shard seam: one proxy, one lane loop, two ways to connect.
 
 The sharded service (:mod:`repro.core.service`) drives every shard
 through the :class:`~repro.core.engine.CoordinationEngine` surface —
 ``admit``/``incident_pending``/``evaluate_admitted_phased``/``flush``/
 ``release_component``/``adopt``/…  In-thread shards *are* engines; a
 shard hosted elsewhere needs a router-side proxy that speaks the same
-surface over a message boundary.  This module is that seam, split in
-half:
+surface over a message boundary.  Every hosted shard has the same
+boundary: two connected stream sockets, a main lane and an optional
+control lane, carrying :mod:`repro.client`'s length-prefixed
+:mod:`repro.db.wire` frames.  Only how the sockets are obtained
+differs — a socket pair to a forkserver child
+(:mod:`repro.core.procexec`) or TCP connections to a
+:class:`~repro.core.remote.ShardHost` (:mod:`repro.core.remote`).
+This module is everything else, split in half:
 
-* :class:`ShardProxy` — the router side.  Everything a remote-ish shard
-  proxy needs regardless of transport: the engine-surface methods
-  encoded as framed :mod:`repro.db.wire` commands, the two-lane
-  request serialization (main lane for ``evaluate``/``flush`` and
-  everything that resolves handles; control lane for probes and
-  migration bookkeeping), write-token-gated replica sync piggybacked
-  on evaluation commands, router-side
+* :class:`ShardProxy` — the router side.  It owns both lane endpoints
+  and their round trip: the engine-surface methods encoded as framed
+  commands, the two-lane request serialization (main lane for
+  ``evaluate``/``flush`` and everything that resolves handles; control
+  lane for probes and migration bookkeeping), write-token-gated
+  replica sync piggybacked on evaluation commands, router-side
   :class:`~repro.core.lifecycle.QueryHandle` mirroring from resolution
-  records, and first-class death handling with an optional
-  :attr:`ShardProxy.on_death` failover hook.  A transport implements
-  exactly three things: :meth:`ShardProxy._transact` (one raw framed
-  round trip), :meth:`ShardProxy._describe_death` (the error message
-  when the peer vanishes) and :meth:`ShardProxy.stop`.
+  records, death handling with the :attr:`ShardProxy.on_death`
+  failover hook, and the graceful half of :meth:`ShardProxy.stop`.  A
+  subclass supplies the connected sockets,
+  :meth:`ShardProxy._describe_death` (the error message when the peer
+  vanishes) and :meth:`ShardProxy._teardown` (whatever else stopping
+  releases).
 
-* :class:`WorkerSession` + :func:`execute_command` — the worker side.
-  A private lock-free :class:`~repro.db.Database` replica, a full
-  :class:`~repro.core.engine.CoordinationEngine` over it, and the
-  command dispatch both hosted-shard implementations serve:
-  the child-process pipe worker (:mod:`repro.core.procexec`) and the
-  TCP shard host (:mod:`repro.core.remote`).  The byte-identical
-  equivalence argument lives here once, not per transport: the service
-  routes, freezes, migrates and journals identically whatever hosts
-  the shard, and the worker applies the identical command stream to an
-  identical replica.
+* :class:`WorkerSession` + :func:`serve_lane` — the worker side.  A
+  private lock-free :class:`~repro.db.Database` replica, a full
+  :class:`~repro.core.engine.CoordinationEngine` over it, the command
+  dispatch, and the one loop that serves a lane in a process child or
+  a host thread.  The byte-identical equivalence argument lives here
+  once, not per transport: the service routes, freezes, migrates and
+  journals identically whatever hosts the shard, and the worker
+  applies the identical command stream to an identical replica.
 
 Two lanes exist because their latency profiles must not couple: the
 main lane is a strict request/reply channel carrying the data plane
 and every resolution record in router order, while the control lane
 carries cheap probes that must be answered mid-``evaluate``.  Control
 commands never resolve handles and — by the service's component-freeze
-rule — never touch a component under evaluation, so running them from
-a second worker-side thread (or a second TCP connection) changes no
-observable ordering.
+rule — never touch a component under evaluation, so serving them from
+a second worker-side thread changes no observable ordering.
 """
 
 from __future__ import annotations
@@ -49,9 +52,10 @@ import threading
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..concurrency import OwnedLock
+from ..client import FramedEndpoint
+from ..concurrency import SHUTDOWN_GRACE, Deadline, OwnedLock
 from ..db import Database, wire
-from ..errors import ConcurrencyError, PreconditionError, ReproError
+from ..errors import ConcurrencyError, PreconditionError, ReproError, WireError
 from .engine import ArrivalOutcome, CoordinationEngine
 from .lifecycle import (
     QueryHandle,
@@ -211,19 +215,18 @@ def evaluate_phased(engine: CoordinationEngine, message: dict) -> dict:
 class WorkerSession:
     """One hosted shard's worker-side state: replica + engine + records.
 
-    Shared by every hosted-shard implementation — the pipe worker
-    process (:func:`repro.core.procexec._host_main`) and each TCP
-    session of :class:`repro.core.remote.ShardHost` build exactly one
-    of these.  :meth:`handle_main` and :meth:`handle_control` are the
-    two lanes' frame handlers; the session object carries the
-    resolution buffer that makes every main-lane reply ship the
-    resolution records its command produced, in resolution order.
+    Every hosted shard builds exactly one of these: a process shard's
+    child (:func:`repro.core.procexec._host_main`) and each main-lane
+    session of a :class:`repro.core.remote.ShardHost`.
+    :meth:`handle_main` and :meth:`handle_control` are the two lanes'
+    frame handlers (:func:`serve_lane` calls them); the session object
+    carries the resolution buffer that makes every main-lane reply ship
+    the resolution records its command produced, in resolution order.
     """
 
     def __init__(
         self,
         check_safety: bool = True,
-        reuse_groundings: bool = False,
         reuse_component_states: bool = True,
         plan_cache: bool = True,
         composite_indexes: bool = True,
@@ -237,7 +240,6 @@ class WorkerSession:
         self.engine = CoordinationEngine(
             self.replica,
             check_safety=check_safety,
-            reuse_groundings=reuse_groundings,
             reuse_component_states=reuse_component_states,
         )
         self.resolutions: List[dict] = []
@@ -284,6 +286,48 @@ class WorkerSession:
             return error_reply(error)
 
 
+def serve_lane(
+    endpoint: FramedEndpoint,
+    handler: Callable[[dict], dict],
+    main: bool = True,
+) -> None:
+    """Serve one lane strictly in order until EOF.
+
+    Each frame is decoded, handled and answered before the next is
+    read: the request/reply discipline every lane requires.  A main
+    lane ends after answering ``stop``.  A frame that does not decode
+    to a command (a foreign wire version, corruption) is answered with
+    :func:`error_reply` and ends the lane, because the stream can no
+    longer be trusted; the peer learns why.  The caller closes
+    ``endpoint``.
+    """
+    while True:
+        try:
+            frame = endpoint.recv_frame()
+        except (EOFError, OSError):
+            return
+        try:
+            message = wire.loads(frame)
+            if not isinstance(message, dict):
+                raise WireError("a lane frame must carry one command object")
+        except ReproError as error:
+            send_reply(endpoint, error_reply(error))
+            return
+        if not send_reply(endpoint, handler(message)):
+            return
+        if main and message.get("op") == "stop":
+            return
+
+
+def send_reply(endpoint: FramedEndpoint, reply: dict) -> bool:
+    """Send one reply frame; ``False`` when the peer is gone."""
+    try:
+        endpoint.send_frame(wire.dumps(reply))
+    except OSError:
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Router side
 # ---------------------------------------------------------------------------
@@ -304,18 +348,26 @@ class ShardProxy:
     :func:`repro.db.wire.build_sync` payload of the changed relations'
     mutation-log tails.
 
-    Subclasses implement the transport: :meth:`_transact` (one raw
-    framed round trip on the requested lane), :attr:`_has_control`
-    (whether a control lane exists — without one, control commands fall
-    back to the main lane), :meth:`_describe_death` (the message when
-    the peer vanishes) and :meth:`stop`.
+    The proxy takes its lanes already connected: ``main``, and
+    ``control`` or ``None`` (then control commands ride the main
+    lane).  Subclasses obtain the sockets and implement
+    :meth:`_describe_death` (the message when the peer vanishes) and,
+    if stopping releases more than the lanes, :meth:`_teardown`.
     """
 
-    def __init__(self, db: Database, index: int, control_lane: bool = True) -> None:
+    def __init__(
+        self,
+        db: Database,
+        index: int,
+        main: FramedEndpoint,
+        control: Optional[FramedEndpoint] = None,
+    ) -> None:
         self.db = db
         self.index = index
+        self._main = main
+        self._control = control
         #: Whether this shard has the second (control) lane.
-        self.control_lane = control_lane
+        self.control_lane = control is not None
         #: Structure-lock parity with :class:`CoordinationEngine`: the
         #: service brackets engine calls in ``with engine.lock``; for a
         #: proxy the lane mutexes below do the real serialization.
@@ -349,24 +401,54 @@ class ShardProxy:
         db.add_write_listener(self._listener)
 
     # ------------------------------------------------------------------
-    # Transport surface (subclass responsibilities)
+    # Transport
     # ------------------------------------------------------------------
     def _transact(self, frame: bytes, control: bool = False) -> bytes:
         """One raw framed round trip; raises OSError/EOFError on death."""
-        raise NotImplementedError
-
-    @property
-    def _has_control(self) -> bool:
-        """Whether a control lane is connected."""
-        raise NotImplementedError
+        endpoint = self._control if control else self._main
+        endpoint.send_frame(frame)
+        return endpoint.recv_frame()
 
     def _describe_death(self, error: BaseException) -> str:
         """The :class:`~repro.errors.ConcurrencyError` message on death."""
         raise NotImplementedError
 
-    def stop(self, timeout: Optional[float] = None) -> bool:
-        """Stop the hosted shard; best-effort within ``timeout``."""
-        raise NotImplementedError
+    def _teardown(self, deadline: Deadline) -> bool:
+        """Release what the transport holds beyond its lanes, within
+        ``deadline``; ``True`` when the worker is gone on return."""
+        return True
+
+    def stop(self, timeout: Optional[float] = SHUTDOWN_GRACE) -> bool:
+        """Stop the hosted shard; best-effort within ``timeout``.
+
+        Graceful first: within the deadline, take the main-lane mutex,
+        send ``stop`` and read its reply, so the worker ends the
+        session cleanly.  Then both lanes close unconditionally, which
+        wakes any thread blocked on them, and :meth:`_teardown` runs.
+        The call never hangs on a wedged or dead worker, and it is
+        idempotent and safe after a crash.  The default budget is
+        :data:`repro.concurrency.SHUTDOWN_GRACE`; pass ``None`` for an
+        unbounded wait.  Returns ``True`` when the worker is gone on
+        return.
+        """
+        self.db.remove_write_listener(self._listener)
+        deadline = Deadline(timeout)
+        if not self._stopped and self._dead is None:
+            remaining = deadline.remaining()
+            if self._io.acquire(timeout=-1 if remaining is None else remaining):
+                try:
+                    self._main.set_timeout(deadline.remaining())
+                    self._main.send_frame(wire.dumps({"op": "stop"}))
+                    self._main.recv_frame()
+                except (EOFError, OSError):
+                    pass
+                finally:
+                    self._io.release()
+        self._stopped = True
+        self._main.close()
+        if self._control is not None:
+            self._control.close()
+        return self._teardown(deadline)
 
     # ------------------------------------------------------------------
     # Invalidation (authoritative-store write listener)
@@ -567,7 +649,7 @@ class ShardProxy:
         no resolutions (control commands cannot resolve handles), so
         there is nothing to apply.
         """
-        if not self._has_control:
+        if self._control is None:
             return self._request(message)
         failure: Optional[BaseException] = None
         reply: dict = {}

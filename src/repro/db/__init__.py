@@ -13,8 +13,6 @@ from .durability import (
     DurableStore,
     FileSnapshotStore,
     RecoveredState,
-    SnapshotStore,
-    SQLiteSnapshotStore,
     WriteAheadLog,
     resolve_durability,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "RelationSchema",
     "Row",
     "Schema",
-    "SnapshotStore",
-    "SQLiteSnapshotStore",
     "WriteAheadLog",
     "resolve_durability",
     "database_from_spec",

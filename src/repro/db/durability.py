@@ -19,16 +19,13 @@ from pieces earlier layers already standardized on:
   Appends are a single unbuffered ``write()`` so a crash can only tear
   the *final* record, never interleave two.
 
-* **snapshots** (:class:`SnapshotStore`) — a full wire-encoded image of
-  the durable state: every relation's schema + rows + stamp vector
-  (:func:`~repro.db.wire.build_sync` against an empty stamp vector *is*
-  a full snapshot), the pending queries in arrival order, and the
-  serialized handle resolutions (the service's final-state records).
-  Two stores implement the protocol: :class:`FileSnapshotStore`
-  (one frame per file, written temp-then-rename so a snapshot is never
-  torn) and :class:`SQLiteSnapshotStore` (a ``snapshots`` table in WAL
-  journal mode with ``synchronous=NORMAL`` and a busy timeout — the
-  Paper-Scanner pragmas — so readers never block the writer).
+* **snapshots** (:class:`FileSnapshotStore`) — a full wire-encoded
+  image of the durable state: every relation's schema + rows + stamp
+  vector (:func:`~repro.db.wire.build_sync` against an empty stamp
+  vector *is* a full snapshot), the pending queries in arrival order,
+  and the serialized handle resolutions (the service's final-state
+  records), one frame per ``snap-<generation>.wire`` file, written
+  temp-then-rename so a snapshot is never torn.
 
 * **log compaction** — :meth:`DurableStore.checkpoint` writes snapshot
   generation ``g+1``, rotates the WAL to a fresh ``wal-(g+1)`` file,
@@ -45,7 +42,9 @@ from pieces earlier layers already standardized on:
   detect-and-discard a torn final record: the scan stops at the first
   record whose length prefix, frame magic, CRC, or payload fails to
   decode, and truncates the file there so later appends continue from
-  the last durable byte.
+  the last durable byte.  A directory holding ``snapshots.sqlite`` (the
+  SQLite snapshot store earlier versions offered) is refused rather
+  than recovered without its snapshots.
 
 The module is deliberately mechanism-only: it persists and recovers
 *records*.  What the records mean — replaying journal entries through
@@ -60,7 +59,6 @@ lazily).
 from __future__ import annotations
 
 import os
-import sqlite3
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,10 +75,6 @@ MAX_RECORD_BYTES = 1 << 30
 #: Valid fsync policies for the WAL (see the module docstring).
 FSYNC_POLICIES = ("always", "never")
 
-#: Valid snapshot-store names.
-SNAPSHOT_STORES = ("file", "sqlite")
-
-
 @dataclass(frozen=True)
 class DurabilityConfig:
     """How a service persists itself.
@@ -93,9 +87,6 @@ class DurabilityConfig:
     fsync:
         WAL fsync policy: ``"always"`` (default; survives power loss)
         or ``"never"`` (no fsync; survives process ``kill -9`` only).
-    snapshot_store:
-        ``"file"`` (default) or ``"sqlite"`` — see
-        :class:`FileSnapshotStore` / :class:`SQLiteSnapshotStore`.
     snapshot_every:
         Auto-checkpoint after this many WAL records (``0`` disables
         automatic checkpoints; :meth:`DurableStore.checkpoint` — and
@@ -104,7 +95,6 @@ class DurabilityConfig:
 
     dir: Path
     fsync: str = "always"
-    snapshot_store: str = "file"
     snapshot_every: int = 512
 
     def __post_init__(self) -> None:
@@ -113,11 +103,6 @@ class DurabilityConfig:
             raise PreconditionError(
                 f"unknown fsync policy {self.fsync!r} "
                 f"(expected one of {FSYNC_POLICIES})"
-            )
-        if self.snapshot_store not in SNAPSHOT_STORES:
-            raise PreconditionError(
-                f"unknown snapshot store {self.snapshot_store!r} "
-                f"(expected one of {SNAPSHOT_STORES})"
             )
         if self.snapshot_every < 0:
             raise PreconditionError("snapshot_every must be >= 0")
@@ -213,45 +198,20 @@ def scan_wal(path: Path) -> Tuple[List[Dict[str, Any]], int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot stores
+# Snapshot store
 # ---------------------------------------------------------------------------
-class SnapshotStore:
-    """Protocol: persist one wire-encodable payload per generation.
-
-    Implementations must make :meth:`save` atomic — a crash mid-save
-    leaves the previous generation loadable and never a torn payload —
-    and :meth:`load` must raise :class:`~repro.errors.WireError` for a
-    corrupt snapshot so recovery can fall back a generation.
-    """
-
-    name = "abstract"
-
-    def save(self, generation: int, payload: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def load(self, generation: int) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def generations(self) -> List[int]:
-        raise NotImplementedError
-
-    def delete(self, generation: int) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release file handles (idempotent)."""
-
-
-class FileSnapshotStore(SnapshotStore):
+class FileSnapshotStore:
     """One wire frame per ``snap-<generation>.wire`` file.
 
-    Atomicity comes from the filesystem: the payload is written to a
-    temp file, flushed and fsynced, then ``os.replace``-d into place —
-    so a snapshot file either exists complete or not at all.  The frame
-    CRC additionally catches at-rest corruption at load time.
+    :meth:`save` is atomic — a crash mid-save leaves the previous
+    generation loadable and never a torn payload — because the payload
+    is written to a temp file, flushed and fsynced, then
+    ``os.replace``-d into place, so a snapshot file either exists
+    complete or not at all.  The frame CRC additionally catches at-rest
+    corruption: :meth:`load` raises :class:`~repro.errors.WireError`
+    for a corrupt snapshot so recovery can fall back a generation.
     """
 
-    name = "file"
     _PREFIX = "snap-"
     _SUFFIX = ".wire"
 
@@ -288,79 +248,6 @@ class FileSnapshotStore(SnapshotStore):
             self._path(generation).unlink()
         except FileNotFoundError:
             pass
-
-
-class SQLiteSnapshotStore(SnapshotStore):
-    """Snapshots in a ``snapshots`` table of one SQLite database.
-
-    Configured the pragmatic way (the Paper-Scanner exemplar):
-    ``journal_mode=WAL`` so concurrent readers never block the snapshot
-    writer, ``synchronous=NORMAL`` (safe in WAL mode — a power loss
-    rolls back to the last commit, never corrupts), and a busy timeout
-    instead of immediate lock errors.  Each row stores the same wire
-    frame the file store would write, so the CRC check travels with the
-    payload regardless of the store.
-    """
-
-    name = "sqlite"
-    FILENAME = "snapshots.sqlite"
-
-    def __init__(self, directory: Path) -> None:
-        self.dir = Path(directory)
-        self.path = self.dir / self.FILENAME
-        # The service serializes access under its router lock, but the
-        # calls may come from different threads — permit that.
-        self._conn = sqlite3.connect(
-            self.path, check_same_thread=False, timeout=30.0
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS snapshots ("
-            "generation INTEGER PRIMARY KEY, frame BLOB NOT NULL)"
-        )
-        self._conn.commit()
-
-    def save(self, generation: int, payload: Dict[str, Any]) -> None:
-        frame = wire.dumps(payload)
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO snapshots (generation, frame) "
-                "VALUES (?, ?)",
-                (generation, frame),
-            )
-
-    def load(self, generation: int) -> Dict[str, Any]:
-        row = self._conn.execute(
-            "SELECT frame FROM snapshots WHERE generation = ?", (generation,)
-        ).fetchone()
-        if row is None:
-            raise WireError(f"no snapshot for generation {generation}")
-        return wire.loads(bytes(row[0]))
-
-    def generations(self) -> List[int]:
-        return [
-            row[0]
-            for row in self._conn.execute(
-                "SELECT generation FROM snapshots ORDER BY generation"
-            )
-        ]
-
-    def delete(self, generation: int) -> None:
-        with self._conn:
-            self._conn.execute(
-                "DELETE FROM snapshots WHERE generation = ?", (generation,)
-            )
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-def _make_snapshot_store(config: DurabilityConfig) -> SnapshotStore:
-    if config.snapshot_store == "sqlite":
-        return SQLiteSnapshotStore(config.dir)
-    return FileSnapshotStore(config.dir)
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -455,8 +342,8 @@ class DurableStore:
     Lifecycle (driven by the service, serialized under its router
     lock):
 
-    1. ``store = DurableStore(config)`` — opens the directory and the
-       snapshot store; nothing is written yet.
+    1. ``store = DurableStore(config)`` — opens the directory; nothing
+       is written yet.
     2. ``state = store.recover()`` — loads the newest valid snapshot,
        replays/truncates the matching WAL, returns the
        :class:`RecoveredState` for the service to apply.
@@ -466,15 +353,15 @@ class DurableStore:
        WAL grew past ``snapshot_every`` records.
     4. ``store.append_journal(entry)`` / ``store.append_mutation(event)``
        — the steady-state taps.
-    5. ``store.close()`` — releases the WAL file and the snapshot
-       store's handles (idempotent; asserted leak-free in CI).
+    5. ``store.close()`` — releases the WAL file (idempotent; asserted
+       leak-free in CI).
     """
 
     def __init__(self, config: DurabilityConfig) -> None:
         self.config = config
         self.dir = Path(config.dir)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.snapshots = _make_snapshot_store(config)
+        self.snapshots = FileSnapshotStore(self.dir)
         self.generation = 0
         self.journal_len = 0
         self._wal: Optional[WriteAheadLog] = None
@@ -490,7 +377,19 @@ class DurableStore:
     # Recovery
     # ------------------------------------------------------------------
     def recover(self) -> RecoveredState:
-        """Load the newest valid snapshot + WAL suffix; truncate torn tail."""
+        """Load the newest valid snapshot + WAL suffix; truncate torn tail.
+
+        Refuses a directory that holds ``snapshots.sqlite``: its state
+        lives in SQLite snapshots this version no longer reads, and
+        recovering the WAL alone would silently drop it.
+        """
+        legacy = self.dir / "snapshots.sqlite"
+        if legacy.exists():
+            raise PreconditionError(
+                f"{legacy} holds snapshots of the removed SQLite snapshot "
+                "store; this version recovers only snap-*.wire files, so "
+                "it refuses the directory rather than drop that state"
+            )
         state = RecoveredState()
         for generation in reversed(self.snapshots.generations()):
             try:
@@ -648,18 +547,17 @@ class DurableStore:
         return 0 if self._wal is None else self._wal.records_appended
 
     def close(self) -> None:
-        """Close the WAL and snapshot store handles (idempotent)."""
+        """Close the WAL (idempotent)."""
         with self._mutex:
             if self._closed:
                 return
             self._closed = True
             if self._wal is not None:
                 self._wal.close()
-            self.snapshots.close()
 
     def __repr__(self) -> str:
         return (
             f"DurableStore({self.dir}, gen {self.generation}, "
             f"{self.journal_len} journal entries, "
-            f"fsync={self.config.fsync}, {self.snapshots.name} snapshots)"
+            f"fsync={self.config.fsync})"
         )

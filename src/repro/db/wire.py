@@ -3,10 +3,10 @@
 Hosted shards (process and remote) evaluate against private replicas
 kept in sync with the authoritative store by per-relation mutation-log
 tails keyed by :meth:`~repro.db.Database.data_versions` stamps.  This
-module is the framed, versioned byte protocol the
-:class:`~repro.core.procexec.ProcessShardExecutor` ships over a pipe
-(and :class:`~repro.core.remote.RemoteShardTransport` over TCP)
-between the router and its shard workers:
+module is the framed, versioned byte protocol every hosted shard's
+lanes carry between the router and its shard workers (a socket pair
+to a :class:`~repro.core.procexec.ProcessShardExecutor` child, TCP to
+a :class:`~repro.core.remote.ShardHost`):
 
 * **frames** — every message is ``MAGIC + version byte + CRC-32 +
   compact JSON`` (:func:`dumps` / :func:`loads`).  The explicit

@@ -13,7 +13,7 @@ the oracle (the assertion the whole harness exists for).
 
 Usage::
 
-    python durable_crash_child.py DIR SEED STORE PACE_MS
+    python durable_crash_child.py DIR SEED PACE_MS
 """
 
 import json
@@ -39,7 +39,7 @@ from repro.db import DurabilityConfig  # noqa: E402
 
 
 def main() -> int:
-    durable_dir, seed, store, pace_ms = sys.argv[1:5]
+    durable_dir, seed, pace_ms = sys.argv[1:4]
     pace = float(pace_ms) / 1000.0
     stream = build_stream(int(seed))
     durability = DurabilityConfig(
@@ -47,7 +47,6 @@ def main() -> int:
         # fsync="never" is the point: kill -9 durability comes from
         # the unbuffered write() reaching the kernel, not fsync.
         fsync="never",
-        snapshot_store=store,
         # Small interval so crashes land in every compaction window.
         snapshot_every=24,
     )

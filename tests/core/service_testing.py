@@ -7,7 +7,9 @@ drive-both-ends stream runner that asserts byte-identical outcomes
 against a single-engine oracle.
 """
 
+import multiprocessing
 import random
+import time
 from collections import Counter
 from typing import List, Optional, Tuple
 
@@ -39,6 +41,15 @@ EVALUATION_PATHS = [
     pytest.param(ServiceConfig(), id="memoized"),
     pytest.param(ServiceConfig(reuse_component_states=False), id="recomputed"),
 ]
+
+
+def assert_no_leaked_children(grace: float = 10.0) -> None:
+    """Every shard child process a test started must be reaped by it."""
+    deadline = time.monotonic() + grace
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"leaked worker processes: {leaked}"
 
 
 def flight_query(user: str, partners: List[str]) -> EntangledQuery:

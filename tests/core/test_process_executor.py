@@ -15,11 +15,13 @@ serial service and the single engine.  Asserted by:
 * a crash-replay test: after a killed worker, the wire-encoded journal
   reconstructs identical state in a restarted service;
 
-plus crash regressions (a dead worker process surfaces
-``ConcurrencyError`` and rejects its handles instead of hanging
-``drain``), worker start-up (forkserver workers start with the library
-already loaded; the ``spawn`` override still works) and a teardown
-fixture asserting no worker process leaks.
+plus a crash regression (a dead worker process fails over: its handles
+re-home onto the survivor instead of hanging ``drain``), worker
+start-up (forkserver workers start with the library already loaded;
+the ``spawn`` override still works) and a teardown fixture asserting
+no worker process leaks.  The failover and no-survivor contracts shared
+with remote shards, and the kill -9 oracle fuzz, run over both hosted
+executors in ``test_remote_executor.py``.
 """
 
 import json
@@ -29,7 +31,6 @@ import random
 import subprocess
 import sys
 import threading
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from repro.core import (
 )
 from repro.core.procexec import START_METHOD_ENV
 from repro.db import wire
-from repro.errors import ConcurrencyError, PreconditionError
+from repro.errors import PreconditionError
 from repro.networks import member_name
 from repro.workloads import members_database, partner_query
 from repro.workloads.flights import user_name, worst_case_database
@@ -52,6 +53,7 @@ from repro.workloads.flights import user_name, worst_case_database
 from service_testing import (
     DB_SIZE,
     assert_invariants,
+    assert_no_leaked_children,
     assert_same_counters,
     chosen_bytes,
     flight_query,
@@ -67,11 +69,7 @@ DRAIN_TIMEOUT = 60.0
 def no_leaked_worker_processes():
     """Every test must reap its worker processes (CI asserts this too)."""
     yield
-    deadline = time.monotonic() + 10.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    leaked = multiprocessing.active_children()
-    assert not leaked, f"leaked worker processes: {leaked}"
+    assert_no_leaked_children()
 
 
 def process_service(db, **kwargs) -> ShardedCoordinationService:
@@ -347,7 +345,7 @@ def test_nowait_burst_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Worker-crash regressions (satellite: no hang, loud handles, safe close)
+# Worker-crash regression (no hang, no lost handle, safe close)
 # ---------------------------------------------------------------------------
 def _kill_shard(service, index) -> None:
     worker = service._engines[index]._process
@@ -356,7 +354,7 @@ def _kill_shard(service, index) -> None:
     assert not worker.is_alive()
 
 
-def test_dead_worker_rejects_handles_and_raises_instead_of_hanging():
+def test_dead_worker_rehomes_its_handles_instead_of_hanging():
     db = members_database(size=DB_SIZE, seed=2012)
     service = process_service(db, workers=2)
     try:
@@ -365,49 +363,32 @@ def test_dead_worker_rejects_handles_and_raises_instead_of_hanging():
             for i in range(4)
         ]
         dead_shard = service.shard_of(member_name(0))
+        survivor = 1 - dead_shard
         on_dead = [h for h in handles if service.shard_of(h.query) == dead_shard]
-        survivors = [h for h in handles if h not in on_dead]
         _kill_shard(service, dead_shard)
 
-        # The next routed operation touches every shard's probe and
-        # surfaces the death as ConcurrencyError (never a hang).
-        with pytest.raises(ConcurrencyError, match="died"):
-            service.submit(partner_query(member_name(50), []))
+        # The next routed operation probes every shard, discovers the
+        # death and re-homes the orphans onto the survivor; the
+        # arrival itself coordinates there.
+        arrival = service.submit(partner_query(member_name(5), []))
+        assert arrival.state is QueryState.SATISFIED
+        assert service.live_shards == (survivor,)
+        assert service.failovers == len(on_dead)
 
-        # The dead shard's handles resolved loudly; wait() returns.
-        for handle in on_dead:
-            assert handle.wait(timeout=10)
-            assert handle.state is QueryState.REJECTED
-            assert "died" in handle.reason
-        for handle in survivors:
+        # Every handle stays pending, now on the survivor.
+        for handle in handles:
             assert handle.is_pending
-        # Routing tables dropped the dead shard's queries.
-        assert set(service.pending()) == {h.query for h in survivors}
+            assert service.shard_of(handle.query) == survivor
+        assert set(service.pending()) == {h.query for h in handles}
 
-        # retract of a dead query reports it gone, like the serial stream.
-        with pytest.raises(PreconditionError):
-            service.retract(on_dead[0].query)
-        # drain terminates (no outstanding evaluations can survive).
+        # A re-homed query retracts like any other, and drain terminates.
+        assert service.retract(on_dead[0].query) is on_dead[0]
+        assert on_dead[0].state is QueryState.RETRACTED
         assert service.drain(timeout=DRAIN_TIMEOUT)
+        assert_invariants(service)
     finally:
         service.close(timeout=30)
         service.close(timeout=30)  # idempotent, also after a crash
-
-
-def test_dead_worker_fails_inflight_blocking_submit():
-    db = members_database(size=DB_SIZE, seed=2012)
-    service = process_service(db, workers=2)
-    try:
-        service.submit(partner_query(member_name(0), [member_name(500)]))
-        # Kill both workers: whichever shard the next arrival routes to,
-        # the probe or evaluation hits a dead process.
-        _kill_shard(service, 0)
-        _kill_shard(service, 1)
-        with pytest.raises(ConcurrencyError, match="died"):
-            service.submit(partner_query(member_name(1), []))
-        assert service.drain(timeout=DRAIN_TIMEOUT)
-    finally:
-        service.close(timeout=30)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +408,9 @@ def test_journal_reconstructs_state_after_worker_restart():
         service.insert("Members", extra_row)
         service.flush_drain()
         _kill_shard(service, 0)
-        with pytest.raises(ConcurrencyError, match="died"):
-            service.submit(partner_query(member_name(40), []))
+        # The death fails over; the arrival that discovers it is
+        # journaled like any other.
+        service.submit(partner_query(member_name(40), []))
         journal = list(service.journal)
     finally:
         service.close(timeout=30)
@@ -515,7 +497,7 @@ def test_rebalance_moves_components_between_processes():
 
 def test_control_lane_off_probes_over_the_data_lane():
     # The latency benchmark's blocking baseline: shards get no second
-    # pipe, so a probe (like admission) queues on the data lane — the
+    # lane, so a probe (like admission) queues on the data lane — the
     # same answers, without the latency decoupling.
     db = members_database(size=DB_SIZE, seed=2012)
     with process_service(db, shards=2, control_lane=False) as service:

@@ -1,11 +1,11 @@
-"""Remote TCP shard executor: equivalence, fuzz, failover, hygiene.
+"""Remote TCP shard executor and hosted-shard failover.
 
 The headline claim extends the process executor's:
 ``ShardedCoordinationService(db, ServiceConfig(executor="remote",
 remote_shards=...))`` — each shard's engine on a :class:`ShardHost`
-reached over TCP with a warm-up snapshot and tombstone-aware sync —
-must produce byte-identical outcomes to the serial service and the
-single engine.  Asserted by:
+reached over TCP with lazy, tombstone-aware replica sync — must
+produce byte-identical outcomes to the serial service and the single
+engine.  Asserted by:
 
 * deterministic equivalence streams and the multi-threaded
   journal-replay fuzz (now with ``delete`` traffic), replayed from the
@@ -13,14 +13,15 @@ single engine.  Asserted by:
 * handshake/version-negotiation regressions: a peer speaking a foreign
   wire version, a malformed hello, or plain garbage earns a clean
   error reply — the host never crashes and keeps serving;
-* failover: killing a shard host mid-stream re-homes its components to
-  a survivor (handles stay pending, coordination continues) and a
-  ``kill -9`` fuzz against real host subprocesses checks the final and
-  recovered state against a never-crashed oracle on both snapshot
-  stores;
+* failover, for both hosted executors, serial and with workers:
+  killing a shard host or a process shard's child mid-stream re-homes
+  its components to a survivor (handles stay pending, coordination
+  continues), with no survivor left the service raises cleanly, and a
+  ``kill -9`` fuzz checks the final and recovered state against a
+  never-crashed oracle;
 
-plus an autouse fixture asserting no shard session, socket, or host
-subprocess leaks.
+plus fixtures asserting no shard session, host subprocess or worker
+process leaks.
 """
 
 import os
@@ -41,6 +42,7 @@ import repro
 from repro.core import (
     CoordinationEngine,
     QueryState,
+    RemoteShardTransport,
     ServiceConfig,
     ShardHost,
     ShardedCoordinationService,
@@ -60,6 +62,7 @@ from durable_testing import (
 from service_testing import (
     DB_SIZE,
     assert_invariants,
+    assert_no_leaked_children,
     chosen_bytes,
     partner_stream,
     replay_into_oracle,
@@ -68,6 +71,13 @@ from service_testing import (
 
 DRAIN_TIMEOUT = 60.0
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_worker_processes():
+    """Tests that run process shards must reap their children."""
+    yield
+    assert_no_leaked_children()
 
 
 @pytest.fixture
@@ -107,6 +117,27 @@ def remote_service(db, shard_hosts, **kwargs) -> ShardedCoordinationService:
     return ShardedCoordinationService(db, config)
 
 
+def hosted_service(executor, db, hosts, shards, workers=None):
+    """A hosted service of ``shards`` shards and a way to kill one.
+
+    ``kill(index)`` ends shard ``index`` abruptly: a host closes every
+    connection mid-session, a process shard's child is SIGKILLed.
+    """
+    if executor == "process":
+        service = ShardedCoordinationService(
+            db, ServiceConfig(executor="process", shards=shards, workers=workers)
+        )
+
+        def kill(index):
+            child = service._engines[index]._process
+            child.kill()
+            child.join(timeout=30)
+
+        return service, kill
+    pool = hosts(shards)
+    return remote_service(db, pool, workers=workers), lambda i: pool[i].close()
+
+
 # ---------------------------------------------------------------------------
 # Blocking equivalence against the single-engine oracle
 # ---------------------------------------------------------------------------
@@ -128,16 +159,29 @@ def test_partner_workload_equivalence_with_serial_remote_shards(hosts):
         run_equivalent_streams(service, engine, partner_stream(rng, 40))
 
 
-def test_warm_up_snapshot_makes_prestate_visible(hosts):
+def test_first_evaluation_ships_prestate_snapshot(hosts):
     # Rows inserted before the service connects must be evaluated on
-    # the remote replicas without any explicit sync op: the connect-time
-    # warm-up ships them as one bulk snapshot.
+    # the remote replicas without any explicit sync op: the stamp
+    # vector starts empty, so the first evaluate frame carries them as
+    # one bulk snapshot (connecting ships nothing).
     db = members_database(size=DB_SIZE, seed=2012)
     with remote_service(db, hosts(2)) as service:
+        synced = []
+        for proxy in service._engines:
+            transact = proxy._transact
+
+            def spy(frame, control=False, transact=transact):
+                message = wire.loads(frame)
+                if message["op"] == "evaluate":
+                    synced.append("sync" in message)
+                return transact(frame, control)
+
+            proxy._transact = spy
         a = service.submit(partner_query(member_name(1), [member_name(2)]))
         b = service.submit(partner_query(member_name(2), [member_name(1)]))
         assert a.state is QueryState.SATISFIED
         assert set(b.satisfied_with) == {member_name(1), member_name(2)}
+        assert synced[0] is True
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -341,6 +385,41 @@ def test_host_rejects_malformed_hello_and_unknown_session(hosts):
     )
 
 
+def test_concurrent_sessions_share_one_host(hosts):
+    # Every lane has its own host thread, and they all register and
+    # retire sessions in one table: open many sessions at once (more
+    # threads than cores, short GIL slices), and every handshake must
+    # succeed and every session must retire on stop.
+    (host,) = hosts(1)
+    db = members_database(size=DB_SIZE, seed=2012)
+    errors, barrier = [], threading.Barrier(8)
+
+    def session(index):
+        try:
+            barrier.wait(timeout=30)
+            proxy = RemoteShardTransport(db, index, host.address)
+            assert proxy.probe_pending() == ()
+            proxy.stop()
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=session, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert not db._write_listeners
+
+
 def test_host_survives_garbage_frames(hosts):
     (host,) = hosts(1)
     rng = random.Random(13)
@@ -355,25 +434,29 @@ def test_host_survives_garbage_frames(hosts):
 
 
 # ---------------------------------------------------------------------------
-# Failover: a dead host's components re-home to a survivor
+# Failover: a dead hosted shard's components re-home to a survivor
 # ---------------------------------------------------------------------------
-def test_dead_host_fails_over_and_coordination_continues(hosts):
-    pair = hosts(2)
+@pytest.mark.parametrize("workers", [None, 3])
+@pytest.mark.parametrize("executor", ["process", "remote"])
+def test_dead_host_fails_over_and_coordination_continues(
+    hosts, executor, workers
+):
     db = members_database(size=DB_SIZE, seed=2012)
-    service = remote_service(db, pair)
+    service, kill = hosted_service(executor, db, hosts, workers or 2, workers)
     try:
         handles = [
             service.submit(partner_query(member_name(i), [member_name(500 + i)]))
             for i in range(4)
         ]
         victim = service.shard_of(member_name(0))
+        survivors = tuple(i for i in range(service.shard_count) if i != victim)
         orphaned = [
             h for h in handles if service.shard_of(h.query) == victim
         ]
-        pair[victim].close()  # abrupt: every connection drops mid-session
+        kill(victim)  # abrupt: every lane drops mid-session
 
         # The next arrival discovers the death and re-homes the orphans
-        # to the survivor — nothing is rejected.  The arrival is the
+        # to a survivor — nothing is rejected.  The arrival is the
         # partner one orphan has been waiting for, so the re-homed
         # component completes its coordination on the new shard.
         orphan = orphaned[0]
@@ -381,14 +464,13 @@ def test_dead_host_fails_over_and_coordination_continues(hosts):
         service.insert("Members", (awaited, "r", "i", 1))
         arrival = service.submit(partner_query(awaited, [orphan.query]))
         assert service.failovers >= len(orphaned)
-        assert service.live_shards == (1 - victim,)
+        assert service.live_shards == survivors
         assert arrival.state is QueryState.SATISFIED
         assert orphan.state is QueryState.SATISFIED
         for handle in handles:
             assert handle.state is not QueryState.REJECTED
-        survivor_home = 1 - victim
         for name in service.pending():
-            assert service.shard_of(name) == survivor_home
+            assert service.shard_of(name) in survivors
         assert service.drain(timeout=DRAIN_TIMEOUT)
         service.flush_drain()
         assert_invariants(service)
@@ -396,19 +478,63 @@ def test_dead_host_fails_over_and_coordination_continues(hosts):
         service.close()
 
 
-def test_no_survivor_left_raises_cleanly(hosts):
-    pair = hosts(2)
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("executor", ["process", "remote"])
+def test_no_survivor_left_raises_cleanly(hosts, executor, workers):
     db = members_database(size=DB_SIZE, seed=2012)
-    service = remote_service(db, pair)
+    service, kill = hosted_service(executor, db, hosts, 2, workers)
     try:
-        service.submit(partner_query(member_name(0), [member_name(500)]))
-        for host in pair:
-            host.close()
+        waiting = service.submit(
+            partner_query(member_name(0), [member_name(500)])
+        )
+        # Kill both shards: whichever shard the next arrival routes to,
+        # its probe or evaluation hits a dead worker, and no survivor
+        # is left to adopt the orphans.
+        kill(0)
+        kill(1)
         with pytest.raises(ConcurrencyError):
             service.submit(partner_query(member_name(1), []))
         assert service.live_shards == ()
+        assert waiting.wait(timeout=10)
+        assert waiting.state is QueryState.REJECTED
+        assert "died" in waiting.reason
+        # drain terminates (no outstanding evaluation can survive).
+        assert service.drain(timeout=DRAIN_TIMEOUT)
     finally:
-        service.close()
+        service.close(timeout=30)
+
+
+@pytest.mark.parametrize("executor", ["process", "remote"])
+def test_flush_failure_on_a_live_shard_after_failover_raises(hosts, executor):
+    # A flush restarts over the survivors only when a shard died during
+    # it; a command failure on a live shard must surface, even once an
+    # earlier death has left fewer shards than the service started with.
+    db = members_database(size=DB_SIZE, seed=2012)
+    service, kill = hosted_service(executor, db, hosts, 3)
+    try:
+        kill(0)
+        service.submit(partner_query(member_name(1), []))  # finds the death
+        assert service.live_shards == (1, 2)
+
+        def failing_flush():
+            raise ConcurrencyError("shard 1 worker command failed")
+
+        service._engines[1].flush = failing_flush
+        raised = []
+
+        def flush():
+            try:
+                service.flush()
+            except ConcurrencyError as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=flush, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "flush retried a live shard's failure"
+        assert raised
+    finally:
+        service.close(timeout=30)
 
 
 # ---------------------------------------------------------------------------
@@ -432,40 +558,48 @@ def _spawn_host_process():
     return process, (match.group(1), int(match.group(2)))
 
 
-@pytest.mark.parametrize("snapshot_store", ["file", "sqlite"])
 @pytest.mark.parametrize("seed", [2071, 2072])
+@pytest.mark.parametrize("workers", [None, 3])
+@pytest.mark.parametrize("executor", ["process", "remote"])
 def test_host_kill9_failover_matches_never_crashed_oracle(
-    tmp_path, snapshot_store, seed
+    tmp_path, executor, workers, seed
 ):
-    """Kill -9 a real shard host mid-stream: the service fails over and
-    both its final state and its durable recovery match a never-crashed
-    oracle byte-for-byte."""
+    """Kill -9 a hosted shard mid-stream — a real shard-host process or
+    a process shard's child: the service fails over, and both its final
+    state and its durable recovery match a never-crashed oracle
+    byte-for-byte."""
     stream = build_stream(seed, length=120)
     rng = random.Random(seed)
     kill_at = rng.randrange(len(stream) // 3, 2 * len(stream) // 3)
-    config = DurabilityConfig(
-        dir=tmp_path / "durable", fsync="never", snapshot_store=snapshot_store
-    )
+    config = DurabilityConfig(dir=tmp_path / "durable", fsync="never")
     processes, addresses = [], []
-    for _ in range(3):
-        process, address = _spawn_host_process()
-        processes.append(process)
-        addresses.append(address)
+    if executor == "remote":
+        for _ in range(3):
+            process, address = _spawn_host_process()
+            processes.append(process)
+            addresses.append(address)
     try:
         service = ShardedCoordinationService(
             fresh_db(),
             ServiceConfig(
-                executor="remote",
+                executor=executor,
+                shards=3,
+                workers=workers,
                 remote_shards=tuple(addresses),
                 durability=config,
             ),
         )
         try:
-            victim = rng.randrange(len(processes))
+            victim = rng.randrange(3)
             for index, op in enumerate(stream):
                 if index == kill_at:
-                    processes[victim].kill()
-                    processes[victim].wait(timeout=30)
+                    if executor == "remote":
+                        processes[victim].kill()
+                        processes[victim].wait(timeout=30)
+                    else:
+                        child = service._engines[victim]._process
+                        child.kill()
+                        child.join(timeout=30)
                 apply_op(service, op)
             assert victim not in service.live_shards
             assert len(service.live_shards) == 2
@@ -476,6 +610,7 @@ def test_host_kill9_failover_matches_never_crashed_oracle(
         for process in processes:
             process.kill()
             process.wait(timeout=30)
+            process.stdout.close()
 
     assert live == oracle_observables(stream)
 

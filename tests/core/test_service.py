@@ -358,11 +358,14 @@ class TestServiceConfig:
         with pytest.raises(Exception):
             grown.shards = 5  # frozen
 
-    @pytest.mark.parametrize("option", ["backend", "placement"])
+    @pytest.mark.parametrize(
+        "option", ["backend", "placement", "reuse_groundings"]
+    )
     def test_removed_options_are_not_fields(self, option):
-        # The shared store is the one in-process read path and cost
-        # scores the one placement policy: naming either old option is
-        # an error, not a silently ignored setting.
+        # The shared store is the one in-process read path, cost scores
+        # the one placement policy, and grounding reuse an engine-level
+        # ablation only: naming any old option is an error, not a
+        # silently ignored setting.
         with pytest.raises(TypeError, match=option):
             ServiceConfig(**{option: "replicated"})
         with pytest.raises(TypeError, match=option):

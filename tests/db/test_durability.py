@@ -3,12 +3,13 @@
 Exhaustive where it matters: the torn-final-record suite truncates the
 log at *every* byte offset of the last frame and asserts recovery keeps
 every complete record and discards the tear.  An autouse fixture also
-asserts no test leaks a file descriptor — the WAL and both snapshot
-stores hold OS handles, and a leaked handle is a close() bug, not
-noise.
+asserts no test leaks a file descriptor — the WAL holds an OS handle,
+and a leaked handle is a close() bug, not noise.
 """
 
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.db import (
     DurableStore,
     FileSnapshotStore,
     RelationSchema,
-    SQLiteSnapshotStore,
     wire,
 )
 from repro.db.durability import WriteAheadLog, scan_wal
@@ -53,8 +53,6 @@ def small_db() -> Database:
 def test_config_validates_policies(tmp_path):
     with pytest.raises(PreconditionError):
         DurabilityConfig(dir=tmp_path, fsync="sometimes")
-    with pytest.raises(PreconditionError):
-        DurabilityConfig(dir=tmp_path, snapshot_store="parchment")
     with pytest.raises(PreconditionError):
         DurabilityConfig(dir=tmp_path, snapshot_every=-1)
     config = DurabilityConfig(dir=str(tmp_path))
@@ -119,26 +117,19 @@ def test_wal_flipped_byte_discards_final_record(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Snapshot stores
+# Snapshot store
 # ---------------------------------------------------------------------------
-STORES = [FileSnapshotStore, SQLiteSnapshotStore]
-
-
-@pytest.mark.parametrize("store_cls", STORES)
-def test_snapshot_store_round_trip(tmp_path, store_cls):
-    store = store_cls(tmp_path)
-    try:
-        assert store.generations() == []
-        payload = {"k": "snap", "journal_len": 7, "pending": ["a", "b"]}
-        store.save(1, payload)
-        store.save(2, {"k": "snap", "journal_len": 9})
-        assert store.generations() == [1, 2]
-        assert store.load(1) == payload
-        store.delete(1)
-        assert store.generations() == [2]
-        store.delete(1)  # idempotent
-    finally:
-        store.close()
+def test_snapshot_store_round_trip(tmp_path):
+    store = FileSnapshotStore(tmp_path)
+    assert store.generations() == []
+    payload = {"k": "snap", "journal_len": 7, "pending": ["a", "b"]}
+    store.save(1, payload)
+    store.save(2, {"k": "snap", "journal_len": 9})
+    assert store.generations() == [1, 2]
+    assert store.load(1) == payload
+    store.delete(1)
+    assert store.generations() == [2]
+    store.delete(1)  # idempotent
 
 
 def test_file_snapshot_corruption_raises(tmp_path):
@@ -150,26 +141,6 @@ def test_file_snapshot_corruption_raises(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(WireError):
         store.load(1)
-
-
-def test_sqlite_snapshot_missing_generation_raises(tmp_path):
-    store = SQLiteSnapshotStore(tmp_path)
-    try:
-        with pytest.raises(WireError):
-            store.load(42)
-    finally:
-        store.close()
-
-
-def test_sqlite_store_uses_wal_pragmas(tmp_path):
-    store = SQLiteSnapshotStore(tmp_path)
-    try:
-        mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]
-        assert mode.lower() == "wal"
-        sync = store._conn.execute("PRAGMA synchronous").fetchone()[0]
-        assert int(sync) == 1  # NORMAL
-    finally:
-        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +185,8 @@ def snapshot_payload(journal_len: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("snapshot_store", ["file", "sqlite"])
-def test_checkpoint_compacts_and_recovers(tmp_path, snapshot_store):
-    store = make_store(tmp_path, snapshot_store=snapshot_store)
+def test_checkpoint_compacts_and_recovers(tmp_path):
+    store = make_store(tmp_path)
     store.recover()
     store.append_journal(("flush_drain",))
     store.append_journal(("retract", "alice", False))
@@ -228,7 +198,7 @@ def test_checkpoint_compacts_and_recovers(tmp_path, snapshot_store):
 
     # Reopen: the snapshot subsumes the first two entries, the WAL
     # suffix holds exactly the one appended after the checkpoint.
-    reopened = make_store(tmp_path, snapshot_store=snapshot_store)
+    reopened = make_store(tmp_path)
     try:
         state = reopened.recover()
         assert state.generation == 1
@@ -268,6 +238,32 @@ def test_compaction_deletes_older_generations(tmp_path):
         assert store.snapshots.generations() == [3]
         wals = sorted(p.name for p in tmp_path.glob("wal-*.log"))
         assert wals == ["wal-00000003.log"]
+    finally:
+        store.close()
+
+
+def test_recovery_refuses_a_sqlite_snapshot_directory(tmp_path):
+    # What the removed SQLite snapshot store left behind: the newest
+    # snapshot in snapshots.sqlite and the WAL matching it.  Recovering
+    # the file store's view of that directory would come back empty and
+    # silently drop every query and row, so recovery names the file.
+    with closing(sqlite3.connect(tmp_path / "snapshots.sqlite")) as conn:
+        with conn:
+            conn.execute(
+                "CREATE TABLE snapshots ("
+                "generation INTEGER PRIMARY KEY, frame BLOB NOT NULL)"
+            )
+            conn.execute(
+                "INSERT INTO snapshots VALUES (?, ?)",
+                (13, wire.dumps(snapshot_payload(journal_len=5))),
+            )
+    log = WriteAheadLog(tmp_path / "wal-00000013.log", fsync="never")
+    log.append({"k": "j", "e": wire.encode_journal([("flush_drain",)])[0]})
+    log.close()
+    store = make_store(tmp_path)
+    try:
+        with pytest.raises(PreconditionError, match="snapshots.sqlite"):
+            store.recover()
     finally:
         store.close()
 

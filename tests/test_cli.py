@@ -173,10 +173,7 @@ class TestOnline:
         assert "satisfied {solo}" in out
         assert "done: 0 pending" in out
 
-    @pytest.mark.parametrize("snapshot_store", ["file", "sqlite"])
-    def test_durable_dir_persists_and_recovers(
-        self, db_file, tmp_path, capsys, snapshot_store
-    ):
+    def test_durable_dir_persists_and_recovers(self, db_file, tmp_path, capsys):
         """A replay with --durable-dir leaves a directory a second run
         recovers from: the pending query survives the restart and is
         retired by the second stream's insert."""
@@ -185,8 +182,7 @@ class TestOnline:
         first.write_text(
             "submit solo: {} S(z) :- Flights(z, 'Atlantis')\n"
         )
-        args = ["--durable-dir", durable, "--fsync", "never",
-                "--snapshot-store", snapshot_store]
+        args = ["--durable-dir", durable, "--fsync", "never"]
         assert main(["online", db_file, str(first)] + args) == 0
         out = capsys.readouterr().out
         assert "solo: pending" in out
@@ -208,6 +204,21 @@ class TestOnline:
             main(["online", db_file, stream_file, "--backend", "replicated"])
         assert info.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["online", "DB", "--snapshot-store", "sqlite"],
+            ["shard-host", "127.0.0.1:0", "--worker-threads", "8"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        # One snapshot store and a thread per shard-host lane: the old
+        # selectors fail loudly instead of being silently ignored.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert argv[2] in capsys.readouterr().err
 
     def test_unsafe_submit_is_rejected_not_fatal(self, db_file, tmp_path, capsys):
         path = tmp_path / "unsafe.ops"
