@@ -4,10 +4,11 @@ The control-lane claim (DESIGN.md §12): with every shard grinding
 long stalled-join evaluations, a *new* arrival's admission — routing
 probes plus the admission delta — must not queue behind an in-flight
 ``evaluate`` frame.  The process executor's blocking path serializes
-every command on one pipe per shard, so under background load an
-admission's tail latency is one evaluation frame; the control lane
-(a second duplex pipe serviced between component evaluations and
-between frames) bounds it to a fraction of one component.
+every command on one socket lane per shard, so under background load
+an admission's tail latency is one evaluation frame; the control lane
+(a second socket lane, served by a worker thread that takes the engine
+lock, which an ``evaluate`` holds only around its plan and commit
+phases) bounds it to a fraction of one component.
 
 This benchmark measures that as tail latency under **sustained mixed
 traffic** against a 4-worker process-executor service:
@@ -79,7 +80,8 @@ WORKERS = 4
 #: components.  That multi-component frame is the serving-front's
 #: load shape, and exactly what the two configurations disagree on:
 #: the blocking path parks every probe until the frame completes,
-#: the control lane services it at the next component boundary.
+#: the control lane serves it mid-frame, after at most a plan or
+#: commit section.
 BURST = 64
 SMOKE_BURST = 48
 #: Measured foreground operations interleaved per burst.

@@ -774,10 +774,6 @@ class CoordinationGraph:
         """Extended edges whose source is ``query`` (incident adjacency)."""
         return tuple(self._view().out_edges.get(query, ()))
 
-    def in_edges_of(self, query: str) -> Tuple[ExtendedEdge, ...]:
-        """Extended edges whose target is ``query`` (incident adjacency)."""
-        return tuple(self._view().in_edges.get(query, ()))
-
     def post_atom(self, edge: ExtendedEdge) -> Atom:
         """The (standardised) postcondition atom of an edge."""
         return self._view().standardized[edge.source].postconditions[edge.post_index]

@@ -84,7 +84,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -445,7 +444,7 @@ class CoordinationEngine:
         """
         self._guard()
         handle = self._admit(query)
-        self._evaluate_component((handle,))
+        self.evaluate_admitted_phased((handle,))
         return handle
 
     def admit(self, query: EntangledQuery) -> QueryHandle:
@@ -457,11 +456,11 @@ class CoordinationEngine:
         survivors, the handle comes back *settled*: its ``outcome`` is
         already the one an evaluation would record, and nothing is owed.
         Otherwise (``outcome`` is ``None``) the caller owes the
-        component an evaluation — the concurrent service admits on the
-        router thread and enqueues the evaluation
-        (:meth:`evaluate_admitted_phased`) on the shard's worker, so
-        later arrivals' routing probes observe the admission immediately
-        while the expensive evaluation overlaps.  Raises
+        component an evaluation (:meth:`evaluate_admitted_phased`) — the
+        concurrent service admits on the router thread and enqueues that
+        evaluation on the shard's worker, so later arrivals' routing
+        probes observe the admission immediately while the expensive
+        evaluation overlaps.  Raises
         :class:`~repro.errors.PreconditionError` exactly as
         :meth:`submit` does.
         """
@@ -504,7 +503,7 @@ class CoordinationEngine:
                 admitted.append(handle)
             handles.append(handle)
 
-        self.evaluate_admitted(admitted)
+        self.evaluate_admitted_phased(admitted)
         return handles
 
     def retract(self, name: str) -> QueryHandle:
@@ -621,44 +620,15 @@ class CoordinationEngine:
         self._guard()
         return [tuple(sorted(members)) for members in self._components.components()]
 
-    def evaluate_admitted(
-        self,
-        admitted: Sequence[QueryHandle],
-        between: Optional[Callable[[], object]] = None,
-    ) -> None:
+    def evaluate_admitted_phased(self, admitted: Sequence[QueryHandle]) -> None:
         """Evaluate the components of freshly admitted handles, once each.
 
-        The batch building block shared by :meth:`submit_many` and the
-        sharded service: handles are grouped by weak component and each
-        component is evaluated exactly once; every handle of a group
-        receives that single evaluation as its ``outcome``.  A
-        component with no preprocessing survivors is settled without a
-        run phase.
-
-        ``between`` is the control-lane yield hook: when given, it runs
-        after each component's evaluation commits, at a point where the
-        engine is fully consistent.  The thread executor's shard worker
-        uses it to serve its control lane (routing probes, admissions
-        for *other* components) between evaluation steps — the
-        component-freeze rule keeps everything a control command may
-        touch disjoint from the components of this batch, so the
-        byte-identical equivalence argument is unchanged.
-        """
-        self._guard()
-        groups = self._group_by_component(admitted)
-        for index, group in enumerate(groups):
-            self._evaluate_component(group)
-            if between is not None and index + 1 < len(groups):
-                between()
-
-    def evaluate_admitted_phased(
-        self,
-        admitted: Sequence[QueryHandle],
-        between: Optional[Callable[[], object]] = None,
-    ) -> None:
-        """As :meth:`evaluate_admitted`, but evaluation runs unlocked.
-
-        The shard worker's data-plane entry point.  The call acquires
+        The one evaluation entry point: :meth:`submit`,
+        :meth:`submit_many`, the sharded service's serial shards and
+        shard workers, and every hosted shard's session call it.
+        Handles are grouped by weak component and each component is
+        evaluated exactly once; every handle of a group receives that
+        single evaluation as its ``outcome``.  The call acquires
         :attr:`lock` itself, in two short critical sections around the
         expensive middle:
 
@@ -676,20 +646,16 @@ class CoordinationEngine:
            through the cache's internal mutex;
         3. **commit** (locked): record outcomes and retire chosen sets.
 
-        Byte-identical to :meth:`evaluate_admitted` *provided* the
-        components stay frozen between plan and commit — which the
-        concurrent service guarantees by never admitting into, migrating,
-        retracting from, or flushing over a component with an
-        outstanding evaluation (its busy-component drain rule).  The
-        payoff is that routing probes from the router thread only ever
-        wait out the short locked sections, not the evaluations.
-
-        ``between``, when given, runs in the *unlocked* run phase after
-        each component's evaluation — the shard worker passes its
-        control-lane drain here, so a queued control job (probe, status)
-        waits at most one component evaluation even while this worker
-        grinds a long batch.  The hook runs with the engine lock free;
-        control jobs take it themselves for their own short reads.
+        Components never interact, so planning, running and committing
+        a batch's components phase by phase records what evaluating them
+        one after another would, *provided* they stay frozen between
+        plan and commit — which the concurrent service guarantees by
+        never admitting into, migrating, retracting from, or flushing
+        over a component with an outstanding evaluation (its
+        busy-component drain rule).  The run phase touches no engine
+        structure, so any other call — a routing probe, an admission
+        into another component, a ``pending()`` read — takes the lock
+        and waits out only the short locked sections.
         """
         with self.lock:
             self._guard()
@@ -698,11 +664,9 @@ class CoordinationEngine:
                 plan = self._evaluation_plan(group)
                 if plan is not None:
                     plans.append((group, plan))
-        finished = []
-        for group, plan in plans:
-            finished.append((group, plan, self._run_evaluation(plan)))
-            if between is not None:
-                between()
+        finished = [
+            (group, plan, self._run_evaluation(plan)) for group, plan in plans
+        ]
         with self.lock:
             for group, plan, result in finished:
                 self._commit_evaluation(plan.component, result, group)
@@ -764,14 +728,6 @@ class CoordinationEngine:
             handle = QueryHandle(query)
         self._handles[query.name] = handle
         return handle
-
-    def _evaluate_component(self, admitted: Tuple[QueryHandle, ...]) -> None:
-        """Evaluate the weak component of ``admitted``; retire a chosen set."""
-        plan = self._evaluation_plan(admitted)
-        if plan is not None:
-            self._commit_evaluation(
-                plan.component, self._run_evaluation(plan), admitted
-            )
 
     def _settle(
         self, admitted: Sequence[QueryHandle]

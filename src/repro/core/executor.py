@@ -14,7 +14,8 @@ runs on:
   producer instead of growing an unbounded backlog.  Jobs resolve
   :class:`concurrent.futures.Future` objects, so callers can run
   fire-and-forget (``submit_nowait``) or block for byte-identical
-  serial semantics (``submit``).
+  serial semantics (``submit``).  Control commands bypass the mailbox
+  and take the engine lock instead.
 
 * :class:`CallbackDispatcher` — a single thread that fires user
   resolution callbacks *off-worker*.  A callback that re-enters the
@@ -69,36 +70,34 @@ Job = Tuple[Callable[[], object], "Future[object]"]
 
 
 class ShardWorker:
-    """One shard's two-lane mailbox and worker thread.
+    """One shard's mailbox and worker thread.
 
-    The worker owns its engine's data plane: it executes **data jobs**
+    The worker owns its engine's data plane: it executes jobs
     (evaluations, flushes) strictly in mailbox (FIFO) order, one at a
     time.  The router enqueues an evaluation job per admitted component
     and a flush job per flush — per-shard FIFO is exactly the ordering
     the equivalence argument needs, because all commands touching one
     weak component go through one mailbox in router order.
 
-    A second, unbounded **control lane** carries cheap control commands
-    (routing probes, status, admission bookkeeping).  Control jobs are
-    serviced *before* any queued data job, and a long-running data job
-    can cooperatively yield between evaluation steps via
-    :meth:`service_control` — so a probe's latency is bounded by one
-    component evaluation, not by the whole mailbox backlog.  Control
-    jobs never mutate busy components (the component-freeze rule keeps
-    probed components disjoint from those under evaluation), so the
-    byte-identical equivalence argument is unchanged.
+    Control commands (routing probes, admissions, the service's
+    ``probe()``) never enter the mailbox.  On a thread shard they take
+    the engine lock on the caller's thread, which an evaluation job
+    holds only around its plan and commit phases
+    (:meth:`~repro.core.engine.CoordinationEngine.evaluate_admitted_phased`),
+    so a probe waits out a short critical section, not the backlog; a
+    hosted shard answers them on its control lane
+    (:mod:`repro.core.transport`).
     """
 
     def __init__(self, index: int, capacity: int) -> None:
         self.index = index
         self._capacity = capacity
         self._lock = threading.Lock()
-        # Worker waits on _ready for work in either lane; producers wait
-        # on _space for a free data-lane slot (the service's backpressure).
+        # The worker waits on _ready for a job; producers wait on
+        # _space for a free mailbox slot (the service's backpressure).
         self._ready = threading.Condition(self._lock)
         self._space = threading.Condition(self._lock)
         self._data: Deque[Optional[Job]] = deque()
-        self._control: Deque[Job] = deque()
         self._thread = threading.Thread(
             target=self._run, name=f"repro-shard-{index}", daemon=True
         )
@@ -112,36 +111,6 @@ class ShardWorker:
             self._data.append((run, future))
             self._ready.notify()
         return future
-
-    def post_control(self, run: Callable[[], object]) -> "Future[object]":
-        """Enqueue a control job on the priority lane (never blocks).
-
-        The lane is unbounded because control commands are few, cheap,
-        and issued by the router/gateway at request granularity — the
-        bounded data lane remains the only backpressure surface.
-        """
-        future: "Future[object]" = Future()
-        with self._lock:
-            self._control.append((run, future))
-            self._ready.notify_all()
-        return future
-
-    def service_control(self) -> int:
-        """Drain the control lane inline; returns jobs serviced.
-
-        Called from the worker thread itself, between steps of a
-        long-running data job (the engine's between-component yield
-        hook) — this is what bounds probe latency to one evaluation
-        step instead of one mailbox backlog.
-        """
-        serviced = 0
-        while True:
-            with self._lock:
-                if not self._control:
-                    return serviced
-                job = self._control.popleft()
-            self._execute(job)
-            serviced += 1
 
     @property
     def depth(self) -> int:
@@ -162,12 +131,9 @@ class ShardWorker:
     def _run(self) -> None:
         while True:
             with self._ready:
-                self._ready.wait_for(lambda: self._control or self._data)
-                if self._control:
-                    job: Optional[Job] = self._control.popleft()
-                else:
-                    job = self._data.popleft()
-                    self._space.notify()
+                self._ready.wait_for(lambda: self._data)
+                job = self._data.popleft()
+                self._space.notify()
             if job is None:
                 return
             self._execute(job)

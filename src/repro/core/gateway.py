@@ -18,8 +18,9 @@ Latency model
 The admission reply is sent as soon as the service admits the query —
 routing, migration, safety — never after its evaluation: arrival-to-
 admission latency is decoupled from evaluation latency end to end
-(the per-worker control lane keeps it so inside the executors; this
-module keeps it so at the edge).  Resolution arrives later as an
+(inside the executors an admission waits out only an evaluation's
+short locked phases, under a thread shard's engine lock or on a hosted
+shard's control lane; this module keeps it so at the edge).  Resolution arrives later as an
 *event frame* carrying the resolution record.
 
 Backpressure

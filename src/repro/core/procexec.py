@@ -97,19 +97,16 @@ def _host_main(
     Builds the session (private lock-free replica + engine), then
     serves the main lane until a ``stop`` command or EOF (router
     gone).  With a ``control`` socket a daemon thread serves the
-    control lane, and main-lane ``evaluate`` runs phased: the thread
-    executor's two-lane split, inside the child (see
-    :mod:`repro.core.transport` for the architecture and the
-    equivalence argument).  Each control frame runs under the engine
-    lock, contending only with the short plan/commit sections of a
-    phased ``evaluate`` and with replica sync writes, never with the
+    control lane (see :mod:`repro.core.transport` for the architecture
+    and the equivalence argument).  Each control frame runs under the
+    engine lock, contending only with the short plan/commit sections of
+    an ``evaluate`` and with replica sync writes, never with the
     unlocked run phase.  A broken control lane ends only its thread:
     the main lane and its ``stop`` keep working, and process exit
     reaps the thread.
     """
     session = WorkerSession(**options)
     if control is not None:
-        session.phased = True
         sys.setswitchinterval(CONTROL_SWITCH_INTERVAL)
         threading.Thread(
             target=serve_lane,

@@ -11,11 +11,11 @@ this module adds the listener, the handshake and the address:
   accepted connection.  Each router lane opens with a small **hello
   handshake** that names its lane and session: a main lane builds one
   :class:`~repro.core.transport.WorkerSession` (private lock-free
-  replica + engine); a control lane attaches to it and flips the
-  session to phased evaluation.  The connection's thread then runs
-  :func:`~repro.core.transport.serve_lane`, the same loop a process
-  shard's child runs, so frames on one connection execute strictly in
-  order while a control probe on another is answered mid-``evaluate``.
+  replica + engine); a control lane attaches to it.  The connection's
+  thread then runs :func:`~repro.core.transport.serve_lane`, the same
+  loop a process shard's child runs, so frames on one connection
+  execute strictly in order while a control probe on another is
+  answered mid-``evaluate``.
   An undecodable or version-mismatched frame — a router speaking a
   different ``db/wire`` version — is answered with a clean error reply
   and the connection closed; the host never crashes on it.
@@ -280,7 +280,6 @@ class ShardHost:
             raise PreconditionError(
                 f"control lane for unknown session {token!r}"
             )
-        session.phased = True
         sys.setswitchinterval(CONTROL_SWITCH_INTERVAL)
         return session, token, lane
 

@@ -44,7 +44,11 @@ engine's lock, so every later routing probe observes all earlier
 admissions; **evaluation** (database joins — expensive) is enqueued to
 the shard's mailbox and runs on the worker with the engine lock
 released around the database work
-(:meth:`~repro.core.engine.CoordinationEngine.evaluate_admitted_phased`).
+(:meth:`~repro.core.engine.CoordinationEngine.evaluate_admitted_phased`,
+the one evaluation entry point, which a serial service calls inline).
+A routing probe, an admission or a :meth:`probe` never enters a
+mailbox: each takes the engine lock on the calling thread, so it waits
+out only an evaluation's plan and commit phases.
 
 Equivalence with the serial service — and therefore with a single
 engine — rests on a *component-freeze* rule: while a component has an
@@ -319,10 +323,11 @@ class ShardedCoordinationService:
         thread, so routing probes and admissions never queue behind an
         in-flight ``evaluate`` frame.  Default ``True``; ``False``
         sends control commands down the main lane, the blocking path
-        (the latency benchmark's baseline).  Thread workers always
-        have their in-process control lane, so ``False`` under
-        ``executor="thread"`` is rejected rather than silently
-        ignored.
+        (the latency benchmark's baseline).  Thread shards have no lane
+        to turn off — a control read takes the engine lock, which an
+        evaluation holds only around its plan and commit phases — so
+        ``False`` under ``executor="thread"`` is rejected rather than
+        silently ignored.
     """
 
     #: Router ops between opportunistic rebalance checks.
@@ -373,8 +378,8 @@ class ShardedCoordinationService:
         if not control_lane and self.executor == "thread":
             raise PreconditionError(
                 "control_lane=False requires a hosted executor "
-                "('process' or 'remote'); thread shards always have "
-                "their in-process control lane"
+                "('process' or 'remote'); thread shards have no lane to "
+                "turn off, because a control read takes the engine lock"
             )
         if self.executor == "remote":
             if not remote_shards:
@@ -478,8 +483,9 @@ class ShardedCoordinationService:
         # load by, instead of raw pending counts.
         self._costs: List[int] = [0] * shards
         self._query_cost: Dict[str, int] = {}
-        #: Whether hosted shards carry the second (control) lane; the
-        #: thread executor's worker control lane is always present.
+        #: Whether hosted shards carry the second (control) lane
+        #: (always ``True`` for thread shards, which read under the
+        #: engine lock instead).
         self.control_lane = control_lane
         self._final_states: Dict[str, QueryState] = {}
         self._resolution_callbacks: List[ResolutionCallback] = []
@@ -549,11 +555,6 @@ class ShardedCoordinationService:
         return len(self._engines)
 
     @property
-    def worker_count(self) -> int:
-        """Number of worker threads (0 in serial mode)."""
-        return 0 if self._workers is None else len(self._workers)
-
-    @property
     def live_shards(self) -> Tuple[int, ...]:
         """Indices of shards whose workers are up (all, for threads)."""
         return tuple(
@@ -589,25 +590,26 @@ class ShardedCoordinationService:
         return tuple(scores)
 
     def probe(self, shard: int) -> Tuple[str, ...]:
-        """Round-trip a control-lane probe to one shard's worker.
+        """Read one shard's pending names the way a control read does.
 
-        Returns the shard's pending names, read on the worker itself —
-        the latency yardstick the control lane exists for: under a
-        hosted executor the probe rides the control lane (served
-        mid-evaluation instead of queueing behind an in-flight
-        ``evaluate`` frame); in thread-worker mode it rides the
-        worker's priority lane.  Serial services answer inline.
+        The latency yardstick for reads that must not queue behind
+        evaluations.  An in-process shard answers under its engine
+        lock, which an evaluation holds only around its plan and commit
+        phases; a hosted shard answers on its worker, over the control
+        lane when it has one (served mid-evaluation instead of queueing
+        behind an in-flight ``evaluate`` frame).  Raises
+        :class:`~repro.errors.PreconditionError` for a shard index
+        outside ``0 <= shard < shard_count``.
         """
+        count = self.shard_count
+        if not 0 <= shard < count:
+            raise PreconditionError(
+                f"no shard {shard}: the service has {count} shards "
+                f"(0 to {count - 1})"
+            )
         engine = self._engines[shard]
         if self.executor in ("process", "remote"):
             return engine.probe_pending()
-        if self._workers is not None:
-
-            def read() -> Tuple[str, ...]:
-                with engine.lock:
-                    return engine.pending()
-
-            return self._workers[shard].post_control(read).result()
         with engine.lock:
             return engine.pending()
 
@@ -1321,10 +1323,8 @@ class ShardedCoordinationService:
         if self._workers is None:
             home = target
             while True:
-                engine = self._engines[home]
                 try:
-                    with engine.lock:
-                        engine.evaluate_admitted(handles)
+                    self._engines[home].evaluate_admitted_phased(handles)
                 except ConcurrencyError:
                     moved = self._failover_rehome(home, handles)
                     if moved is None:
@@ -1332,25 +1332,16 @@ class ShardedCoordinationService:
                     home = moved
                     continue
                 return None
-        engine = self._engines[target]
         with self._tables:
             self._busy[target].update(frozen)
             self._eval_outstanding += 1
-        worker = self._workers[target]
 
         def job() -> None:
             home = target
             try:
                 while True:
                     try:
-                        # The worker services its control lane between
-                        # component evaluations (probes/status never
-                        # touch the frozen components), so control
-                        # latency stays bounded by one component
-                        # evaluation even under a long batch.
-                        self._engines[home].evaluate_admitted_phased(
-                            handles, between=worker.service_control
-                        )
+                        self._engines[home].evaluate_admitted_phased(handles)
                         return
                     except ConcurrencyError:
                         # Failover: the shard died before this
@@ -1381,7 +1372,7 @@ class ShardedCoordinationService:
                     self._eval_outstanding -= 1
                     self._tables.notify_all()
 
-        return worker.post(job)
+        return self._workers[target].post(job)
 
     def _await_eval(self, future) -> None:
         """Block on one evaluation job; de-duplicate its error record."""

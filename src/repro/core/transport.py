@@ -43,7 +43,10 @@ and every resolution record in router order, while the control lane
 carries cheap probes that must be answered mid-``evaluate``.  Control
 commands never resolve handles and — by the service's component-freeze
 rule — never touch a component under evaluation, so serving them from
-a second worker-side thread changes no observable ordering.
+a second worker-side thread changes no observable ordering.  That
+thread takes the engine lock, which a main-lane ``evaluate`` holds only
+around its plan and commit phases: the same lock read a thread shard's
+control commands make in the router's process.
 """
 
 from __future__ import annotations
@@ -123,7 +126,8 @@ def error_reply(error: BaseException) -> dict:
 
 
 def execute_command(engine: CoordinationEngine, message: dict) -> dict:
-    """Run one router command against a worker's private engine.
+    """Run one router command other than ``evaluate`` (see
+    :func:`evaluate_phased`) against a worker's private engine.
 
     Callers hold the engine lock (the main loop and a control thread
     share the engine once a control lane exists)."""
@@ -142,14 +146,6 @@ def execute_command(engine: CoordinationEngine, message: dict) -> dict:
         return {"names": list(engine.component_of(message["name"]))}
     if op == "components":
         return {"components": [list(c) for c in engine.components()]}
-    if op == "evaluate":
-        handles = [
-            handle
-            for name in message["names"]
-            if (handle := engine.handle(name)) is not None
-        ]
-        engine.evaluate_admitted(handles)
-        return {"outcomes": _encode_outcomes(handles)}
     if op == "flush":
         return {"result": wire.encode_result(engine.flush())}
     if op == "retract":
@@ -192,14 +188,11 @@ def _decode_outcome(record: dict) -> ArrivalOutcome:
 
 
 def evaluate_phased(engine: CoordinationEngine, message: dict) -> dict:
-    """Main-lane ``evaluate`` while a control lane is live.
+    """Serve one main-lane ``evaluate``.
 
     Handle lookup and the reply build bracket the engine lock; the run
     phase inside ``evaluate_admitted_phased`` leaves it free, which is
-    what lets control commands be answered mid-frame.  Outcomes are
-    byte-identical to the plain ``evaluate`` path — the freeze rule
-    keeps the evaluated components untouched between plan and commit
-    (see the engine docstring).
+    what lets a control lane's commands be answered mid-frame.
     """
     with engine.lock:
         handles = [
@@ -222,6 +215,9 @@ class WorkerSession:
     frame handlers (:func:`serve_lane` calls them); the session object
     carries the resolution buffer that makes every main-lane reply ship
     the resolution records its command produced, in resolution order.
+    Every command runs under the engine lock except the run phase of an
+    ``evaluate``, so a control lane, when the session has one, is
+    served mid-frame.
     """
 
     def __init__(
@@ -246,10 +242,6 @@ class WorkerSession:
         self.engine.on_resolved(
             lambda handle: self.resolutions.append(encode_resolution(handle))
         )
-        #: ``True`` once a control lane services this session; main-lane
-        #: ``evaluate`` then runs the phased plan/run/commit split with
-        #: the engine lock free during the run phase.
-        self.phased = False
 
     def handle_main(self, message: dict) -> dict:
         """Serve one main-lane command; the reply carries resolutions."""
@@ -261,7 +253,7 @@ class WorkerSession:
                 # serialize through the engine lock like any mutation.
                 with self.engine.lock:
                     wire.apply_sync(self.replica, sync)
-            if self.phased and message.get("op") == "evaluate":
+            if message.get("op") == "evaluate":
                 reply = evaluate_phased(self.engine, message)
             else:
                 with self.engine.lock:
@@ -544,15 +536,12 @@ class ShardProxy:
         self._request({"op": "retract", "name": name})
         return handle
 
-    def evaluate_admitted(
-        self, admitted: Sequence[QueryHandle], between=None
-    ) -> None:
+    def evaluate_admitted_phased(self, admitted: Sequence[QueryHandle]) -> None:
         """Evaluate the admitted handles' components on the worker.
 
-        ``between`` (the thread executor's control-lane yield hook) is
-        accepted for surface parity and ignored: a hosted worker
-        services its own control lane, and the router-side mailbox
-        thread is already free while it blocks on the reply.
+        One main-lane ``evaluate`` round trip; the worker runs the
+        engine's plan/run/commit entry point, so a control lane, when
+        the shard has one, is answered during the run phase.
         """
         if not admitted:
             return
@@ -561,11 +550,6 @@ class ShardProxy:
             {"op": "evaluate", "names": [h.query for h in admitted]},
             sync=True,
         )
-
-    # The hosted worker is single-owner, so there is no phased/unlocked
-    # variant to speak of — the shard worker thread blocks on the reply
-    # while the expensive work runs on the other side of the transport.
-    evaluate_admitted_phased = evaluate_admitted
 
     def flush(self):
         """One global evaluation run on the worker's pending pool."""

@@ -40,7 +40,7 @@ from typing import (
 
 from ..concurrency import NullRWLock, RWLock
 from ..errors import UnknownRelationError
-from ..logic import Atom, Variable
+from ..logic import Variable
 from .evaluator import Assignment, Evaluator
 from .query import ConjunctiveQuery
 from .schema import RelationSchema, Schema
@@ -363,14 +363,6 @@ class Database:
         query.validate(self.schema)
         with self.rw.read():
             return self._evaluator.is_satisfiable(query)
-
-    def satisfiable_atoms(self, atoms: Iterable[Atom]) -> bool:
-        """Convenience: satisfiability of a list of atoms."""
-        return self.is_satisfiable(ConjunctiveQuery(tuple(atoms)))
-
-    def first_solution_atoms(self, atoms: Iterable[Atom]) -> Optional[Assignment]:
-        """Convenience: one assignment for a list of atoms."""
-        return self.first_solution(ConjunctiveQuery(tuple(atoms)))
 
     def distinct_bindings(
         self, query: ConjunctiveQuery, variables: Tuple[Variable, ...]

@@ -541,11 +541,6 @@ class DurableStore:
             )
         return self._wal
 
-    @property
-    def wal_records_appended(self) -> int:
-        """Records appended to the active WAL since the last rotation."""
-        return 0 if self._wal is None else self._wal.records_appended
-
     def close(self) -> None:
         """Close the WAL (idempotent)."""
         with self._mutex:

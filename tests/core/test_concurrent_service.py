@@ -16,7 +16,8 @@ each on both evaluation paths (memoized component states and
 re-evaluation from scratch — see ``EVALUATION_PATHS``); plus
 * targeted regressions — an ``on_resolved`` callback that re-enters
   ``submit`` (must not deadlock a shard), handle ``wait``, least-loaded
-  placement, the idle-component rebalancer, and the engine's
+  placement, the idle-component rebalancer, a ``probe()`` answered
+  while an evaluation's run phase is blocked, and the engine's
   single-owner assertion.
 """
 
@@ -31,6 +32,7 @@ from repro.core import (
     QueryState,
     ServiceConfig,
     ShardedCoordinationService,
+    parse_queries,
 )
 from repro.db import DatabaseBuilder
 from repro.db.stats import evaluation_cost
@@ -493,6 +495,48 @@ def test_rebalance_skips_busy_components():
         with service._tables:
             service._busy[0].clear()
     assert service.rebalance() >= 1
+
+
+# ---------------------------------------------------------------------------
+# Control reads: a thread shard's probe takes the engine lock
+# ---------------------------------------------------------------------------
+def test_probe_is_answered_while_an_evaluation_run_is_blocked():
+    """An evaluation holds the engine lock only around its plan and
+    commit phases, so ``probe()`` returns while the run phase is stuck
+    instead of queueing behind the evaluation job."""
+    db = (
+        DatabaseBuilder()
+        .table("F", ["id", "city"])
+        .rows("F", [(1, "Zurich")])
+        .build()
+    )
+    (query,) = parse_queries("c: {} R(c, y) :- F(y, 'Zurich');")
+    running, release = threading.Event(), threading.Event()
+    probed = []
+    with ShardedCoordinationService(db, ServiceConfig(workers=1)) as service:
+        engine = service._engines[0]
+        run = engine._run_evaluation
+
+        def blocked_run(plan):
+            running.set()
+            release.wait(timeout=30)
+            return run(plan)
+
+        engine._run_evaluation = blocked_run
+        try:
+            handle = service.submit_nowait(query)
+            assert running.wait(timeout=30), "the evaluation never ran"
+            prober = threading.Thread(
+                target=lambda: probed.append(service.probe(0)), daemon=True
+            )
+            prober.start()
+            prober.join(timeout=2.0)
+            assert not prober.is_alive(), "probe() waited out the run phase"
+            assert probed == [("c",)]
+        finally:
+            release.set()
+        assert service.drain(timeout=DRAIN_TIMEOUT)
+        assert handle.state is QueryState.SATISFIED
 
 
 # ---------------------------------------------------------------------------

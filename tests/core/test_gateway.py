@@ -1,4 +1,4 @@
-"""Serving front: gateway protocol, backpressure, teardown, control lane.
+"""Serving front: gateway protocol, backpressure, teardown, control reads.
 
 Four claims from the serving-front design (DESIGN.md §12):
 
@@ -14,9 +14,10 @@ Four claims from the serving-front design (DESIGN.md §12):
   its submissions keep resolving inside the service and the gateway's
   connection table returns to empty (asserted after *every* test by an
   autouse fixture);
-* **control lane** — admission-path probes stay responsive while every
-  worker grinds a long multi-component ``evaluate`` frame, under both
-  the thread and process executors.
+* **control reads** — admission-path probes stay responsive while every
+  worker grinds a long multi-component ``evaluate`` frame: a thread
+  shard answers under its engine lock, a process shard on its control
+  lane.
 
 Plus the :class:`~repro.core.executor.CallbackDispatcher` determinism
 regression: deferred callback errors re-raise completely and in order
@@ -182,6 +183,21 @@ def test_gateway_round_trips_and_error_kinds():
         service.close()
 
 
+def test_probe_of_an_out_of_range_shard_is_a_precondition_error():
+    service = _service()
+    try:
+        with Gateway(service) as gateway:
+            host, port = gateway.address
+            with GatewayClient(host, port) as client:
+                for shard in (-1, 5):
+                    with pytest.raises(PreconditionError, match="2 shards"):
+                        client.probe(shard)
+                assert client.probe(1) == ()
+        assert gateway.connection_count == 0
+    finally:
+        service.close()
+
+
 def test_submit_many_batches_and_rejections_stream_records():
     service = _service()
     try:
@@ -292,7 +308,7 @@ def test_shutdown_op_is_gated_and_acknowledged():
 
 
 # ---------------------------------------------------------------------------
-# Control lane: probes answered mid-frame on every executor
+# Control reads: probes answered mid-frame on every executor
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("executor", ["thread", "process"])
 def test_probes_answered_while_workers_grind(executor):
@@ -316,7 +332,7 @@ def test_probes_answered_while_workers_grind(executor):
             outstanding = service._eval_outstanding
         assert outstanding > 0, (
             "evaluate frames finished before the probe returned — the "
-            "control lane was not exercised (grow the burst?)"
+            "mid-frame read was not exercised (grow the burst?)"
         )
         assert isinstance(probed, tuple)
         assert status is not None

@@ -283,7 +283,7 @@ def test_closing_a_three_cycle_revives_two_removed_queries():
     assert engine._graph.live_survivors(engine.pending())[0] == (a, b, c)
     assert_live_fixpoint(engine._graph)
 
-    engine.evaluate_admitted([handle])
+    engine.evaluate_admitted_phased([handle])
     assert handle.state is QueryState.SATISFIED
     assert set(handle.satisfied) == {a, b, c}
     assert engine.pending() == ()

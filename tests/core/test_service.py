@@ -233,6 +233,17 @@ def test_service_wide_duplicate_rejected():
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_probe_rejects_an_out_of_range_shard(mode):
+    db = members_database(size=DB_SIZE, seed=2012)
+    with ShardedCoordinationService(db, _config(mode, 2)) as service:
+        service.submit(partner_query(member_name(0), [member_name(100)]))
+        assert service.probe(0) + service.probe(1) == (member_name(0),)
+        for shard in (-1, 2):
+            with pytest.raises(PreconditionError, match="2 shards"):
+                service.probe(shard)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_single_shard_degenerates_to_engine(mode):
     db = members_database(size=DB_SIZE, seed=2012)
     engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
@@ -339,8 +350,8 @@ class TestServiceConfig:
             ShardedCoordinationService(self._db(), 3)
 
     def test_control_lane_off_rejected_on_thread_executor(self):
-        # Thread shards always have their in-process control lane; the
-        # option only exists for hosted shards.
+        # Thread shards have no lane to turn off (a control read takes
+        # the engine lock); the option only exists for hosted shards.
         with pytest.raises(PreconditionError, match="control_lane"):
             ShardedCoordinationService(
                 self._db(), ServiceConfig(control_lane=False)
