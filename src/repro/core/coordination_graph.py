@@ -11,7 +11,17 @@ Two structures are defined over a set of entangled queries ``Q``:
 
 Queries are standardised apart (each into its own namespace) before
 unification, so a shared variable name across two queries never creates
-a spurious edge.
+a spurious edge.  Edges are found on the queries' original atoms,
+compiled once per query object
+(:meth:`~repro.core.query.EntangledQuery.atom_patterns`): two atoms of
+different queries that repeat no variable unify exactly when no
+position holds two different constants, the paper's own test, and only
+pairs where an atom repeats a variable run the full unifier on the
+standardised atoms.  ``standardized`` is a view that standardises a
+query when it is first read; the online engine reads it only for the
+queries an evaluation snapshots (:meth:`CoordinationGraph.restricted_to`
+standardises them up front), so a query that never reaches an
+evaluation is never standardised.
 
 Online maintenance
 ------------------
@@ -26,8 +36,8 @@ valid reads: each remembers the (query, edge) prefix of the core that
 was current when it was created, and *detaches* onto a private core the
 first time it is read or extended after the chain moved on.  The
 snapshot guarantee attaches to the *graph object* and its accessors —
-the ``queries``/``standardized`` dicts it hands out are live views of
-its current state, not frozen copies (see the property docstrings).  A linear
+the ``queries``/``standardized`` mappings it hands out are live views
+of its current state, not frozen copies (see the property docstrings).  A linear
 arrival stream therefore pays amortized O(incident edges) per query,
 while branching (two extensions of one base) costs one O(base) copy —
 exactly the access pattern split between the online engine and
@@ -50,27 +60,31 @@ cascades (DESIGN.md §15 has the argument).
 from __future__ import annotations
 
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..graphs import DiGraph
-from ..logic import Atom, Constant, unifiable
+from ..logic import Atom, AtomPattern, unifiable
 from .query import EntangledQuery, check_distinct_names
 
 
 class _AtomIndex:
-    """Index of atoms for fast unifiability-candidate lookup.
+    """Index of compiled atoms for fast unifiability-candidate lookup.
 
     Matching every postcondition against every head is quadratic in the
     query count, which Figure 6's 1000-query graphs make painful.
-    Atoms are bucketed by (relation, arity); within a bucket,
-    per-position maps record which atoms carry which constant (or a
-    variable) at that position.  Two flat atoms can only unify when, at
-    every position, they don't carry *different* constants — so probing
-    the query atom's most selective constant position yields a
-    near-minimal candidate list.  Full unification still validates
-    every candidate.
+    Atoms (as :class:`~repro.logic.unify.AtomPattern`) are bucketed by
+    (relation, arity); within a bucket, per-position maps record which
+    atoms carry which constant (or a variable) at that position.  Two
+    flat atoms can only unify when, at every position, they don't carry
+    *different* constants — so probing the query atom's most selective
+    constant position yields a near-minimal candidate list, and
+    :meth:`matches` drops the candidates that clash at any other
+    position.  The constant maps are keyed by
+    :class:`~repro.logic.terms.Constant`, so a lookup compares constants
+    exactly as the unifier does.
 
     The same structure indexes head atoms (probed by postconditions)
     and postcondition atoms (probed by the heads of a new arrival);
@@ -88,29 +102,31 @@ class _AtomIndex:
 
     def __init__(self) -> None:
         # (relation, arity) -> {
-        #   "all": [(query, atom_index, atom, token)],
-        #   "by_pos": [ {const_value: [entry]} per position ],
+        #   "all": [(query, atom_index, pattern, token)],
+        #   "by_pos": [ {constant: [entry]} per position ],
         #   "var_at": [ [entry] per position ],
         # }
         self._buckets: Dict[tuple, dict] = {}
         self.live = 0
         self.dead = 0
 
-    def add(self, query: str, atom_index: int, atom: Atom, token: int) -> None:
-        key = (atom.relation, atom.arity)
-        bucket = self._buckets.get(key)
+    def add(
+        self, query: str, atom_index: int, pattern: AtomPattern, token: int
+    ) -> None:
+        bucket = self._buckets.get(pattern.key)
         if bucket is None:
+            arity = len(pattern.constants)
             bucket = {
                 "all": [],
-                "by_pos": [dict() for _ in range(atom.arity)],
-                "var_at": [[] for _ in range(atom.arity)],
+                "by_pos": [dict() for _ in range(arity)],
+                "var_at": [[] for _ in range(arity)],
             }
-            self._buckets[key] = bucket
-        entry = (query, atom_index, atom, token)
+            self._buckets[pattern.key] = bucket
+        entry = (query, atom_index, pattern, token)
         bucket["all"].append(entry)
-        for position, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                bucket["by_pos"][position].setdefault(term.value, []).append(entry)
+        for position, constant in enumerate(pattern.constants):
+            if constant is not None:
+                bucket["by_pos"][position].setdefault(constant, []).append(entry)
             else:
                 bucket["var_at"][position].append(entry)
         self.live += 1
@@ -123,21 +139,44 @@ class _AtomIndex:
     def needs_compaction(self) -> bool:
         return self.dead > self.live
 
-    def candidates(self, probe: Atom) -> List[tuple]:
-        """Entries possibly unifiable with ``probe`` (superset; the
-        caller validates with real unification and a liveness check)."""
-        bucket = self._buckets.get((probe.relation, probe.arity))
+    def matches(self, probe: AtomPattern) -> Iterator[tuple]:
+        """Entries whose atom is :meth:`~repro.logic.unify.AtomPattern.compatible`
+        with ``probe``; the caller checks liveness, and runs the full
+        unifier when either atom repeats a variable.
+
+        Order: with no constant in ``probe``, the whole bucket;
+        otherwise, at the constant position with the fewest candidates
+        (the first on a tie), the entries carrying that constant, then
+        those with a variable there — each in insertion order.  The
+        order fixes the order of a probe's edges."""
+        bucket = self._buckets.get(probe.key)
         if bucket is None:
-            return []
-        best: Optional[List[tuple]] = None
-        for position, term in enumerate(probe.terms):
-            if not isinstance(term, Constant):
+            return
+        fixed = probe.fixed
+        if not fixed:
+            yield from bucket["all"]
+            return
+        by_pos = bucket["by_pos"]
+        var_at = bucket["var_at"]
+        best = best_size = best_hit = None
+        for position, constant in fixed:
+            hit = by_pos[position].get(constant, ())
+            size = len(hit) + len(var_at[position])
+            if best is None or size < best_size:
+                best, best_size, best_hit = position, size, hit
+        rest = [item for item in fixed if item[0] != best]
+        for group in (best_hit, var_at[best]):
+            if not rest:
+                yield from group
                 continue
-            matching = bucket["by_pos"][position].get(term.value, [])
-            candidate = matching + bucket["var_at"][position]
-            if best is None or len(candidate) < len(best):
-                best = candidate
-        return bucket["all"] if best is None else best
+            for entry in group:
+                constants = entry[2].constants
+                for position, constant in rest:
+                    other = constants[position]
+                    if other is not None and other != constant:
+                        break
+                else:
+                    yield entry
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,17 +212,16 @@ class ArrivalProbe:
     """The incident structure of one prospective arrival.
 
     Computed by :meth:`CoordinationGraph.probe` *without* touching the
-    graph: the newcomer's standardised form, every extended edge it
-    would contribute, and the safety violations (Definition 2) those
-    edges would introduce — each as a ``(query, post_index, head-match
-    count)`` triple, matching :class:`~repro.core.properties.SafetyReport`.
+    graph: every extended edge the newcomer would contribute, and the
+    safety violations (Definition 2) those edges would introduce — each
+    as a ``(query, post_index, head-match count)`` triple, matching
+    :class:`~repro.core.properties.SafetyReport`.
     The engine inspects ``violations`` to reject an unsafe arrival in
     O(new edges) with nothing to roll back, then commits the accepted
     ones with :meth:`CoordinationGraph.with_arrival`.
     """
 
     query: EntangledQuery
-    standardized: EntangledQuery
     new_edges: Tuple[ExtendedEdge, ...]
     violations: Tuple[Tuple[str, int, int], ...]
     # Origin stamp: the core object and its version at probe time.
@@ -216,7 +254,6 @@ class _GraphCore:
 
     __slots__ = (
         "queries",
-        "standardized",
         "edges",
         "edge_pos",
         "dead_edges",
@@ -236,7 +273,6 @@ class _GraphCore:
 
     def __init__(self) -> None:
         self.queries: Dict[str, EntangledQuery] = {}
-        self.standardized: Dict[str, EntangledQuery] = {}
         # Append-only; removal tombstones slots to None so the prefixes
         # remembered by attached graphs stay addressable.
         self.edges: List[Optional[ExtendedEdge]] = []
@@ -277,16 +313,14 @@ class _GraphCore:
     def from_parts(
         cls,
         queries: Dict[str, EntangledQuery],
-        standardized: Dict[str, EntangledQuery],
         edges: Iterable[ExtendedEdge],
     ) -> "_GraphCore":
         """Build a consistent core from known queries and edges."""
         core = cls()
         core.queries = queries
-        core.standardized = standardized
         core.digraph.add_nodes(queries.keys())
         core.tokens = dict.fromkeys(queries, 0)
-        for name in standardized:
+        for name in queries:
             core.out_edges[name] = []
             core.in_edges[name] = []
         for edge in edges:
@@ -299,11 +333,12 @@ class _GraphCore:
             return
         head_index = _AtomIndex()
         post_index = _AtomIndex()
-        for name, std in self.standardized.items():
+        for name, query in self.queries.items():
             token = self.tokens[name]
-            for hi, head in enumerate(std.head):
+            posts, heads = query.atom_patterns()
+            for hi, head in enumerate(heads):
                 head_index.add(name, hi, head, token)
-            for pi, post in enumerate(std.postconditions):
+            for pi, post in enumerate(posts):
                 post_index.add(name, pi, post, token)
         self.head_index = head_index
         self.post_index = post_index
@@ -315,8 +350,8 @@ class _GraphCore:
         self.alive = set(self.queries)
         self.support = {}
         stuck: List[str] = []
-        for name, std in self.standardized.items():
-            for pi in range(len(std.postconditions)):
+        for name, query in self.queries.items():
+            for pi in range(len(query.postconditions)):
                 count = len(self.out_by_post.get((name, pi), ()))
                 self.support[(name, pi)] = count
                 if not count:
@@ -347,8 +382,7 @@ class _GraphCore:
         queries can join the fixpoint (DESIGN.md §15), so the fixpoint
         re-runs over those alone, with the alive set as fixed support.
         """
-        std = self.standardized[name]
-        for pi in range(len(std.postconditions)):
+        for pi in range(len(self.queries[name].postconditions)):
             if (name, pi) not in self.out_by_post:
                 return  # a postcondition nothing can satisfy
         alive = self.alive
@@ -365,11 +399,11 @@ class _GraphCore:
         # the candidates.
         support = self.support
         out_by_post = self.out_by_post
-        standardized = self.standardized
+        queries = self.queries
         matches: Dict[Tuple[str, int], int] = {}
         worklist: List[str] = []
         for candidate in candidates:
-            for pi in range(len(standardized[candidate].postconditions)):
+            for pi in range(len(queries[candidate].postconditions)):
                 key = (candidate, pi)
                 count = support[key]
                 for edge in out_by_post.get(key, ()):
@@ -404,17 +438,6 @@ class _GraphCore:
         self.fanout[key] = self.fanout.get(key, 0) + 1
         self.digraph.add_edge(edge.source, edge.target)
 
-    def is_current_atom(self, entry: tuple) -> bool:
-        """Liveness check for a (query, atom_index, atom, token) entry.
-
-        Guards against dropped queries and re-admission under the same
-        name — an unrelated query, or the *same* query object again,
-        whose memoized standardized atoms are the very objects its
-        stale entries still hold: the entry is live only if it was added
-        under the query's current admission token.
-        """
-        return self.tokens.get(entry[0]) == entry[3]
-
     def compact_indexes_if_needed(self) -> None:
         if self.head_index is None:
             return
@@ -430,6 +453,24 @@ class _GraphCore:
         self.edges = [e for e in self.edges if e is not None]
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.dead_edges = 0
+
+
+class _StandardizedView(Mapping):
+    """Read-only ``name -> standardized query`` view over a queries dict."""
+
+    __slots__ = ("_queries",)
+
+    def __init__(self, queries: Dict[str, EntangledQuery]) -> None:
+        self._queries = queries
+
+    def __getitem__(self, name: str) -> EntangledQuery:
+        return self._queries[name].standardized()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._queries)
+
+    def __len__(self) -> int:
+        return len(self._queries)
 
 
 class CoordinationGraph:
@@ -500,36 +541,48 @@ class CoordinationGraph:
 
     def _probe(self, query: EntangledQuery, include_self: bool) -> ArrivalProbe:
         core = self._view()
-        if query.name in core.queries:
+        name = query.name
+        if name in core.queries:
             from ..errors import MalformedQueryError
 
-            raise MalformedQueryError(f"duplicate query name {query.name!r}")
+            raise MalformedQueryError(f"duplicate query name {name!r}")
         core.ensure_indexes()
-        std = query.standardized()
+        posts, heads = query.atom_patterns()
+        self_edges = query.self_edges() if include_self else ()
+        # An index entry is live only if it was added under its query's
+        # current admission token: entries of dropped queries stay in
+        # the buckets, and a re-admitted name (an unrelated query, or
+        # the same query object again, whose memoized patterns are the
+        # very objects its stale entries hold) has a new token.
+        tokens = core.tokens
         new_edges: List[ExtendedEdge] = []
 
         # The newcomer's postconditions against every existing head,
         # plus (optionally) its own heads — which are not yet indexed.
-        for pi, post in enumerate(std.postconditions):
-            for entry in core.head_index.candidates(post):
-                target_name, hi, head, _ = entry
-                if not core.is_current_atom(entry):
+        # Atoms of two queries share no variable once standardised
+        # apart, so for two linear atoms the index's pattern test is
+        # the unifier's answer; otherwise the unifier decides.
+        for pi, post in enumerate(posts):
+            for target, hi, head, token in core.head_index.matches(post):
+                if tokens.get(target) != token:
                     continue
-                if unifiable(post, head):
-                    new_edges.append(ExtendedEdge(query.name, pi, target_name, hi))
-            if include_self:
-                for hi, head in enumerate(std.head):
-                    if unifiable(post, head):
-                        new_edges.append(ExtendedEdge(query.name, pi, query.name, hi))
+                if (post.linear and head.linear) or unifiable(
+                    post.atom.rename(name), head.atom.rename(target)
+                ):
+                    new_edges.append(ExtendedEdge(name, pi, target, hi))
+            for self_pi, hi in self_edges:
+                if self_pi == pi:
+                    new_edges.append(ExtendedEdge(name, pi, name, hi))
 
         # Existing postconditions against the newcomer's heads.
-        for hi, head in enumerate(std.head):
-            for entry in core.post_index.candidates(head):
-                source_name, pi, post, _ = entry
-                if not core.is_current_atom(entry):
+        for hi, head in enumerate(heads):
+            for source, pi, post, token in core.post_index.matches(head):
+                if tokens.get(source) != token:
                     continue
-                if unifiable(post, head):
-                    new_edges.append(ExtendedEdge(source_name, pi, query.name, hi))
+                if (post.linear and head.linear) or unifiable(
+                    post.atom.rename(source), head.atom.rename(name)
+                ):
+                    new_edges.append(ExtendedEdge(source, pi, name, hi))
 
         # Safety delta (Definition 2): the set stays safe iff no
         # postcondition — old or new — ends up with more than one
@@ -543,9 +596,7 @@ class CoordinationGraph:
             for (name, pi), added in sorted(delta.items())
             if (total := core.fanout.get((name, pi), 0) + added) > 1
         )
-        return ArrivalProbe(
-            query, std, tuple(new_edges), violations, self._version, core
-        )
+        return ArrivalProbe(query, tuple(new_edges), violations, self._version, core)
 
     def with_arrival(self, probe: ArrivalProbe) -> "CoordinationGraph":
         """Commit a probed arrival; returns the extended graph.
@@ -558,25 +609,26 @@ class CoordinationGraph:
         if not self._probed_here(probe):
             probe = self.probe(probe.query)
         core = self._core
-        name = probe.query.name
+        query = probe.query
+        name = query.name
         core.version += 1
         token = core.version
-        core.queries[name] = probe.query
-        core.standardized[name] = probe.standardized
+        core.queries[name] = query
         core.tokens[name] = token
         core.digraph.add_node(name)
         core.out_edges.setdefault(name, [])
         core.in_edges.setdefault(name, [])
         if core.head_index is not None:
-            for hi, head in enumerate(probe.standardized.head):
+            posts, heads = query.atom_patterns()
+            for hi, head in enumerate(heads):
                 core.head_index.add(name, hi, head, token)
-            for pi, post in enumerate(probe.standardized.postconditions):
+            for pi, post in enumerate(posts):
                 core.post_index.add(name, pi, post, token)
         for edge in probe.new_edges:
             core._append_edge(edge)
         if core.alive is not None:
             support = core.support
-            for pi in range(len(probe.standardized.postconditions)):
+            for pi in range(len(query.postconditions)):
                 support[(name, pi)] = 0
             for edge in probe.new_edges:
                 if edge.target in core.alive:
@@ -629,7 +681,7 @@ class CoordinationGraph:
                         stuck.append(edge.source)
             core.drop_unsupported(stuck)
         for name in dropped:
-            std = core.standardized[name]
+            query = core.queries[name]
             # Kill incident edges.  Out-edges of the dropped query also
             # release their (name, post_index) fanout bookkeeping; live
             # in-edges from surviving sources decrement their post's
@@ -643,17 +695,16 @@ class CoordinationGraph:
                     continue  # killed (or to be killed) via the source side
                 self._kill_edge(core, edge)
                 core.out_edges[edge.source].remove(edge)
-            for pi in range(len(std.postconditions)):
+            for pi in range(len(query.postconditions)):
                 core.fanout.pop((name, pi), None)
                 core.out_by_post.pop((name, pi), None)
                 if core.support is not None:
                     del core.support[(name, pi)]
             if core.head_index is not None:
-                core.head_index.mark_dead(len(std.head))
-                core.post_index.mark_dead(len(std.postconditions))
+                core.head_index.mark_dead(len(query.head))
+                core.post_index.mark_dead(len(query.postconditions))
             core.digraph.remove_node(name)
             del core.queries[name]
-            del core.standardized[name]
             del core.tokens[name]
         core.compact_edges_if_needed()
         core.compact_indexes_if_needed()
@@ -696,9 +747,8 @@ class CoordinationGraph:
         old = self._core
         old.attached.discard(self)
         queries = dict(islice(old.queries.items(), self._n_queries))
-        standardized = dict(islice(old.standardized.items(), self._n_queries))
         edges = [e for e in old.edges[: self._n_edges] if e is not None]
-        core = _GraphCore.from_parts(queries, standardized, edges)
+        core = _GraphCore.from_parts(queries, edges)
         self._core = core
         self._version = core.version
         self._n_queries = len(queries)
@@ -748,11 +798,14 @@ class CoordinationGraph:
         return self._view().queries
 
     @property
-    def standardized(self) -> Dict[str, EntangledQuery]:
+    def standardized(self) -> Mapping:
         """The same queries with variables namespaced by query name; all
-        unification in the coordination layers happens on these.  A
-        read-only live view, like :attr:`queries`."""
-        return self._view().standardized
+        unification in the evaluation layers happens on these.  A
+        read-only live view over :attr:`queries` that returns each
+        query's memoized
+        :meth:`~repro.core.query.EntangledQuery.standardized` copy, so
+        reading a query here standardizes it if nothing had yet."""
+        return _StandardizedView(self._view().queries)
 
     @property
     def extended_edges(self) -> List[ExtendedEdge]:
@@ -776,11 +829,12 @@ class CoordinationGraph:
 
     def post_atom(self, edge: ExtendedEdge) -> Atom:
         """The (standardised) postcondition atom of an edge."""
-        return self._view().standardized[edge.source].postconditions[edge.post_index]
+        query = self._view().queries[edge.source]
+        return query.standardized().postconditions[edge.post_index]
 
     def head_atom(self, edge: ExtendedEdge) -> Atom:
         """The (standardised) head atom of an edge."""
-        return self._view().standardized[edge.target].head[edge.head_index]
+        return self._view().queries[edge.target].standardized().head[edge.head_index]
 
     def names(self) -> Tuple[str, ...]:
         """All query names."""
@@ -794,20 +848,23 @@ class CoordinationGraph:
         total pending-set size — the engine calls it once per
         evaluation on the :meth:`survivors` of one weakly connected
         component.  Unknown names are ignored.  The result owns an
-        independent core.
+        independent core.  Every kept query is standardized here, so an
+        evaluation that runs on the result — outside the engine lock —
+        only reads the memoized copies.
         """
         core = self._view()
         keep = [n for n in dict.fromkeys(names) if n in core.queries]
         keep_set = set(keep)
         queries = {n: core.queries[n] for n in keep}
-        standardized = {n: core.standardized[n] for n in keep}
+        for query in queries.values():
+            query.standardized()
         edges = [
             edge
             for n in keep
             for edge in core.out_edges.get(n, ())
             if edge.target in keep_set
         ]
-        sub = _GraphCore.from_parts(queries, standardized, edges)
+        sub = _GraphCore.from_parts(queries, edges)
         return CoordinationGraph(sub, sub.version)
 
     def live_survivors(
@@ -862,14 +919,14 @@ class CoordinationGraph:
         core = self._view()
         keep = [n for n in dict.fromkeys(names) if n in core.queries]
         alive = set(keep)
-        standardized = core.standardized
+        queries = core.queries
         out_by_post = core.out_by_post
         # Per postcondition, the heads it can use inside the subgraph.
         matches: Dict[Tuple[str, int], int] = {}
         worklist: List[str] = []
         for name in keep:
             stuck = False
-            for pi in range(len(standardized[name].postconditions)):
+            for pi in range(len(queries[name].postconditions)):
                 count = 0
                 for edge in out_by_post.get((name, pi), ()):
                     if edge.target in alive:

@@ -56,10 +56,15 @@ pending-set size:
   :meth:`admit` settles it at admission, so the concurrent service
   posts no evaluation for it (on a stream where most components wait
   for partners, that is most arrivals);
-* each query is standardized once
-  (:meth:`~repro.core.query.EntangledQuery.standardized` is memoized),
-  and the graph's atom indexes tell live entries from stale ones by a
-  per-admission token, so re-admitting the same query object is safe;
+* an arrival is probed on its original atoms, compiled once per query
+  object (:meth:`~repro.core.query.EntangledQuery.atom_patterns`, with
+  its self-edges memoized beside them): a pair of atoms that repeats no
+  variable is decided by the paper's position-wise constant test, and
+  only the rest run the unifier; a query is standardized (memoized)
+  only when an evaluation's plan phase first snapshots it, so an
+  arrival that settles at admission is never standardized; the graph's
+  atom indexes tell live entries from stale ones by a per-admission
+  token, so re-admitting the same query object is safe;
 * per-SCC evaluation states (substitution + grounding) are memoized
   *across arrivals*, keyed by component membership, validated by the
   content of the reachable closure they were computed under, and
@@ -72,7 +77,8 @@ pending-set size:
   components waiting on it intact;
 * the routing probe the sharded service takes with
   :meth:`incident_pending` is reused by the admission that follows,
-  unless the graph changed in between;
+  unless the graph changed in between (a hosted shard's session admits
+  the very query object it probed, so this holds across the wire too);
 * a satisfied coordinating set (or a retracted query) is deleted in
   O(its component) via
   :meth:`~repro.core.coordination_graph.CoordinationGraph.discard_queries`,

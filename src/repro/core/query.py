@@ -21,7 +21,7 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 
 from ..db import Schema
 from ..errors import MalformedQueryError
-from ..logic import Atom, Variable, atoms_variables
+from ..logic import Atom, AtomPattern, Variable, atoms_variables, unifiable
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,11 @@ class EntangledQuery:
         Defaults to the query's own name, which is unique within a set,
         so standardising every query of a set this way guarantees
         pairwise-disjoint variables.  The copy in the query's own
-        namespace is memoized — the coordination layers ask for it on
-        every probe, evaluation and assignment — so repeated calls
-        return the same object.
+        namespace is memoized — evaluations and assignments ask for it
+        on every read — so repeated calls return the same object.
+        Arrival probes never ask (they read :meth:`atom_patterns` and
+        :meth:`self_edges`); the online engine standardizes a query
+        when an evaluation first snapshots it, under the engine lock.
         """
         if namespace is None or namespace == self.name:
             own = self.__dict__.get("_standardized")
@@ -145,6 +147,45 @@ class EntangledQuery:
                 object.__setattr__(self, "_standardized", own)
             return own
         return self._renamed(namespace)
+
+    def atom_patterns(
+        self,
+    ) -> Tuple[Tuple[AtomPattern, ...], Tuple[AtomPattern, ...]]:
+        """The postcondition and head atoms compiled for the position-wise
+        unifiability test, as ``(postconditions, head)``.  Memoized:
+        the coordination graph indexes and probes these, not the
+        standardized atoms."""
+        patterns = self.__dict__.get("_patterns")
+        if patterns is None:
+            patterns = (
+                tuple(AtomPattern(atom) for atom in self.postconditions),
+                tuple(AtomPattern(atom) for atom in self.head),
+            )
+            object.__setattr__(self, "_patterns", patterns)
+        return patterns
+
+    def self_edges(self) -> Tuple[Tuple[int, int], ...]:
+        """The ``(post_index, head_index)`` pairs whose postcondition
+        unifies with the query's own head atom, in that order.
+
+        The pair shares the query's variables, so a pattern-compatible
+        pair is decided by :func:`~repro.logic.unify.unifiable` on the
+        two atoms standardized.  Memoized: every probe of this query
+        object (one per shard) reads the same answer."""
+        edges = self.__dict__.get("_self_edges")
+        if edges is None:
+            posts, heads = self.atom_patterns()
+            edges = tuple(
+                (pi, hi)
+                for pi, post in enumerate(posts)
+                for hi, head in enumerate(heads)
+                if post.compatible(head)
+                and unifiable(
+                    post.atom.rename(self.name), head.atom.rename(self.name)
+                )
+            )
+            object.__setattr__(self, "_self_edges", edges)
+        return edges
 
     def _renamed(self, namespace: str) -> "EntangledQuery":
         return EntangledQuery(

@@ -125,46 +125,6 @@ def error_reply(error: BaseException) -> dict:
     }
 
 
-def execute_command(engine: CoordinationEngine, message: dict) -> dict:
-    """Run one router command other than ``evaluate`` (see
-    :func:`evaluate_phased`) against a worker's private engine.
-
-    Callers hold the engine lock (the main loop and a control thread
-    share the engine once a control lane exists)."""
-    op = message["op"]
-    if op == "admit":
-        query = wire.decode_query(message["query"])
-        handle = engine.admit(query)
-        reply = {"component": list(engine.component_of(query.name))}
-        if handle.outcome is not None:  # settled: no evaluate owed
-            reply["outcome"] = _encode_outcome(handle)
-        return reply
-    if op == "incident":
-        query = wire.decode_query(message["query"])
-        return {"names": list(engine.incident_pending(query))}
-    if op == "component_of":
-        return {"names": list(engine.component_of(message["name"]))}
-    if op == "components":
-        return {"components": [list(c) for c in engine.components()]}
-    if op == "flush":
-        return {"result": wire.encode_result(engine.flush())}
-    if op == "retract":
-        engine.retract(message["name"])
-        return {}
-    if op == "release":
-        released = engine.release_component(message["name"])
-        return {"names": [handle.query for handle in released]}
-    if op == "adopt":
-        queries = [wire.decode_query(q) for q in message["queries"]]
-        engine.adopt([QueryHandle(query) for query in queries])
-        return {}
-    if op == "pending":
-        return {"names": list(engine.pending())}
-    if op in ("stop", "ping"):
-        return {}
-    raise PreconditionError(f"unknown worker command {op!r}")
-
-
 def _encode_outcome(handle: QueryHandle) -> dict:
     return {
         "query": handle.query,
@@ -217,7 +177,11 @@ class WorkerSession:
     the resolution records its command produced, in resolution order.
     Every command runs under the engine lock except the run phase of an
     ``evaluate``, so a control lane, when the session has one, is
-    served mid-frame.
+    served mid-frame.  The session keeps the query it decoded for its
+    last ``incident``; the ``admit`` that follows with the same
+    :meth:`~repro.core.query.EntangledQuery.content_key` admits that
+    object, so a hosted admission probes once, as an in-process one
+    does (a content key, not the decoded JSON: ``True == 1``).
     """
 
     def __init__(
@@ -242,6 +206,52 @@ class WorkerSession:
         self.engine.on_resolved(
             lambda handle: self.resolutions.append(encode_resolution(handle))
         )
+        # The last ``incident`` query; read and written under the engine
+        # lock, by whichever lane carries the command.
+        self._probed: Optional[EntangledQuery] = None
+
+    def execute(self, message: dict) -> dict:
+        """Run one router command other than ``evaluate`` (see
+        :func:`evaluate_phased`) against the session's engine.
+
+        Callers hold the engine lock (the main loop and a control
+        thread share the engine once a control lane exists)."""
+        engine = self.engine
+        probed, self._probed = self._probed, None
+        op = message["op"]
+        if op == "admit":
+            query = wire.decode_query(message["query"])
+            if probed is not None and probed.content_key() == query.content_key():
+                query = probed
+            handle = engine.admit(query)
+            reply = {"component": list(engine.component_of(query.name))}
+            if handle.outcome is not None:  # settled: no evaluate owed
+                reply["outcome"] = _encode_outcome(handle)
+            return reply
+        if op == "incident":
+            self._probed = wire.decode_query(message["query"])
+            return {"names": list(engine.incident_pending(self._probed))}
+        if op == "component_of":
+            return {"names": list(engine.component_of(message["name"]))}
+        if op == "components":
+            return {"components": [list(c) for c in engine.components()]}
+        if op == "flush":
+            return {"result": wire.encode_result(engine.flush())}
+        if op == "retract":
+            engine.retract(message["name"])
+            return {}
+        if op == "release":
+            released = engine.release_component(message["name"])
+            return {"names": [handle.query for handle in released]}
+        if op == "adopt":
+            queries = [wire.decode_query(q) for q in message["queries"]]
+            engine.adopt([QueryHandle(query) for query in queries])
+            return {}
+        if op == "pending":
+            return {"names": list(engine.pending())}
+        if op in ("stop", "ping"):
+            return {}
+        raise PreconditionError(f"unknown worker command {op!r}")
 
     def handle_main(self, message: dict) -> dict:
         """Serve one main-lane command; the reply carries resolutions."""
@@ -257,7 +267,7 @@ class WorkerSession:
                 reply = evaluate_phased(self.engine, message)
             else:
                 with self.engine.lock:
-                    reply = execute_command(self.engine, message)
+                    reply = self.execute(message)
         except BaseException as error:  # noqa: BLE001 - forwarded to router
             reply = error_reply(error)
         reply["resolutions"] = list(self.resolutions)
@@ -273,7 +283,7 @@ class WorkerSession:
                     f"op {op!r} is not a control-lane command"
                 )
             with self.engine.lock:
-                return execute_command(self.engine, message)
+                return self.execute(message)
         except BaseException as error:  # noqa: BLE001 - forwarded to router
             return error_reply(error)
 

@@ -9,6 +9,7 @@ from .atoms import Atom, GroundAtom, atoms_variables
 from .substitution import Substitution
 from .terms import Constant, Term, Variable, as_term, const, is_constant, is_variable, var
 from .unify import (
+    AtomPattern,
     apply_substitution,
     apply_substitution_all,
     standardize_apart,
@@ -19,6 +20,7 @@ from .unify import (
 
 __all__ = [
     "Atom",
+    "AtomPattern",
     "GroundAtom",
     "Constant",
     "Variable",

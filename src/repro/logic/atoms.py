@@ -30,13 +30,15 @@ class Atom:
     def __init__(self, relation: str, terms: Iterable[object] = ()) -> None:
         if not relation:
             raise LogicError("atom relation name must be non-empty")
-        coerced = tuple(as_term(t) for t in terms)
+        self._set(relation, tuple(as_term(t) for t in terms))
+
+    def _set(self, relation: str, terms: Tuple[Term, ...]) -> None:
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "terms", coerced)
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(
             self,
             "_variables",
-            tuple(t for t in coerced if isinstance(t, Variable)),
+            tuple(t for t in terms if isinstance(t, Variable)),
         )
 
     @property
@@ -64,13 +66,18 @@ class Atom:
         """Move every variable of the atom into ``namespace``.
 
         Used to standardise queries apart before unification; constants
-        are untouched.
+        are untouched.  The terms are already terms, so the copy skips
+        the constructor's coercion.
         """
-        renamed = tuple(
-            t.qualified(namespace) if isinstance(t, Variable) else t
-            for t in self.terms
+        renamed = object.__new__(Atom)
+        renamed._set(
+            self.relation,
+            tuple(
+                t.qualified(namespace) if isinstance(t, Variable) else t
+                for t in self.terms
+            ),
         )
-        return Atom(self.relation, renamed)
+        return renamed
 
     def ground(self, assignment: Mapping[Variable, Hashable]) -> "GroundAtom":
         """Ground the atom under a total variable assignment.

@@ -6,7 +6,15 @@ same attribute value".  We implement full syntactic unification (via
 :class:`~repro.logic.substitution.Substitution`), which refines the
 paper's position-wise test: it additionally rejects pairs such as
 ``R(x, x)`` against ``R(1, 2)`` where repeated variables force a clash.
-For every atom shape that appears in the paper the two notions coincide.
+
+The two tests agree whenever each variable occurs at most once in the
+pair — both atoms *linear* (no variable repeated inside one atom) and
+sharing no variable.  Then every position is a fresh equation of its
+own, the unifier can fail only where two constants differ, and
+:class:`AtomPattern` answers with the position-wise test alone.  Two
+queries' atoms, once standardised apart, share no variable, so the
+coordination graph's arrival probe (DESIGN.md §1) runs the full
+unifier only on pairs where an atom repeats a variable.
 
 Queries own their variables, so before two queries' atoms are compared
 they must be *standardised apart* — each query's variables moved into a
@@ -19,6 +27,59 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import Atom
 from .substitution import Substitution
+from .terms import Constant
+
+
+class AtomPattern:
+    """An atom compiled for the paper's position-wise unifiability test.
+
+    ``constants`` holds the atom's :class:`~repro.logic.terms.Constant`
+    at each constant position and ``None`` at each variable position;
+    ``fixed`` lists the constant positions as ``(position, constant)``
+    pairs.  ``linear`` is ``True`` when no variable *name* occurs twice
+    in the atom: standardising apart moves variables into a namespace by
+    name (:meth:`~repro.logic.terms.Variable.qualified`), so this is
+    linearity of the atom in any namespace.
+
+    :meth:`compatible` is the paper's test.  For two linear atoms that
+    share no variable it equals :func:`unifiable`; otherwise it is only
+    necessary, since repeated or shared variables add equations between
+    positions.
+    """
+
+    __slots__ = ("atom", "key", "constants", "fixed", "linear")
+
+    def __init__(self, atom: Atom) -> None:
+        constants: List[Optional[Constant]] = []
+        fixed: List[Tuple[int, Constant]] = []
+        names = set()
+        linear = True
+        for position, term in enumerate(atom.terms):
+            if isinstance(term, Constant):
+                constants.append(term)
+                fixed.append((position, term))
+            else:
+                constants.append(None)
+                if term.name in names:
+                    linear = False
+                names.add(term.name)
+        self.atom = atom
+        self.key = (atom.relation, len(constants))
+        self.constants = tuple(constants)
+        self.fixed = tuple(fixed)
+        self.linear = linear
+
+    def compatible(self, other: "AtomPattern") -> bool:
+        """Same relation and arity, and no position holding two different
+        constants (compared as the unifier compares them)."""
+        if self.key != other.key:
+            return False
+        theirs = other.constants
+        for position, constant in self.fixed:
+            other_constant = theirs[position]
+            if other_constant is not None and other_constant != constant:
+                return False
+        return True
 
 
 def unify_atoms(

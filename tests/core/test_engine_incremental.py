@@ -26,9 +26,11 @@ from repro.core import (
     EntangledQuery,
     QueryHandle,
     QueryState,
+    WorkerSession,
     safety_report,
     scc_coordinate_on_graph,
 )
+from repro.db import wire
 from repro.errors import PreconditionError
 from repro.logic import Atom, Variable
 from repro.networks import member_name
@@ -993,3 +995,39 @@ def test_commit_between_probe_and_admission_forces_a_fresh_probe(probe_calls):
     handle = engine.admit(arrival)
     assert probe_calls == ["q"]
     assert handle.is_pending and engine.component_of("q") == ("b", "q")
+
+
+def _hosted(session: WorkerSession, op: str, query: EntangledQuery) -> dict:
+    reply = session.handle_control({"op": op, "query": wire.encode_query(query)})
+    assert "error" not in reply, reply
+    return reply
+
+
+def test_hosted_admission_reuses_the_incident_probe(probe_calls):
+    """A hosted shard decodes ``incident`` and ``admit`` from separate
+    frames; the session admits the object it probed, so the engine
+    reuses the probe, as an in-process engine does."""
+    session = WorkerSession()
+    _hosted(session, "admit", _waiting("a", "W"))
+    arrival = _waiting("q", "P")
+    probe_calls.clear()
+    assert _hosted(session, "incident", arrival) == {"names": []}
+    assert "outcome" in _hosted(session, "admit", arrival)  # settled
+    assert probe_calls == ["q"]
+    assert session.engine.pending() == ("a", "q")
+
+
+def test_hosted_admission_reprobes_other_content(probe_calls):
+    """Content keys are type-strict: ``True`` where the probe saw ``1``
+    decodes to JSON-equal dicts but is another query, probed afresh and
+    admitted with its own constant."""
+    session = WorkerSession()
+
+    def arrival(value):
+        return EntangledQuery("q", (), (Atom("P", [Variable("u"), value]),))
+
+    _hosted(session, "incident", arrival(1))
+    _hosted(session, "admit", arrival(True))
+    assert probe_calls == ["q", "q"]
+    admitted = session.engine.graph().queries["q"]
+    assert admitted.head[0].terms[1].value is True

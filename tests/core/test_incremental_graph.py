@@ -5,14 +5,22 @@ exactly the graph that ``CoordinationGraph.build`` produces on the
 whole set — same collapsed edges, same extended edge multiset, same
 safety verdicts.  Exercised with the deterministic paper workloads and
 with hypothesis-generated random partner structures.
+
+Both sides of that comparison run the same arrival probe, so the probe
+itself is checked against a brute-force reference that unifies every
+pair of standardized atoms (:class:`TestProbeAgainstBruteForce`).
 """
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CoordinationGraph, safety_report
+from repro.core import CoordinationGraph, EntangledQuery, safety_report
+from repro.core.coordination_graph import ExtendedEdge
 from repro.errors import MalformedQueryError
+from repro.logic import Atom, Constant, Variable, unifiable
 from repro.networks import member_name
 from repro.workloads import partner_query, vacation_queries
 
@@ -121,3 +129,136 @@ class TestRandomStructures:
             incremental = incremental.with_query(query)
         assert _edge_multiset(incremental) == _edge_multiset(batch)
         assert _collapsed(incremental) == _collapsed(batch)
+
+
+# ---------------------------------------------------------------------------
+# The arrival probe against brute-force unification
+# ---------------------------------------------------------------------------
+#: Equal as constants (``1 == True == 1.0``) but not as strings.
+_CONSTANTS = (1, True, 1.0, "1", 2)
+
+
+def _flat_atoms(max_size: int):
+    """Atoms over two relations of arity 1–3 whose terms repeat variable
+    names (within an atom and, since every query draws from the same
+    names, across queries) and mix equal-but-distinct constants."""
+    term = st.one_of(
+        st.sampled_from(("x", "y")).map(Variable),
+        st.sampled_from(_CONSTANTS).map(Constant),
+    )
+    atom = st.builds(
+        Atom,
+        st.sampled_from(("R", "S")),
+        st.lists(term, min_size=1, max_size=3),
+    )
+    return st.lists(atom, max_size=max_size)
+
+
+@st.composite
+def _flat_query_sets(draw):
+    queries = []
+    for index in range(draw(st.integers(min_value=1, max_value=8))):
+        posts = draw(_flat_atoms(3))
+        head = draw(_flat_atoms(3).filter(lambda atoms: atoms or posts))
+        queries.append(EntangledQuery(f"q{index}", posts, head))
+    return queries
+
+
+def _in_index_order(probe: Atom, others):
+    """``others`` — ``(name, index, atom)`` in admission order — in the
+    order the probe's atom index yields them: with no constant in
+    ``probe`` as admitted; otherwise, at the constant position with the
+    fewest candidates (the first on a tie), those carrying that
+    constant, then those with a variable there."""
+    bucket = [
+        other
+        for other in others
+        if other[2].relation == probe.relation and other[2].arity == probe.arity
+    ]
+
+    def split(position):
+        constant = probe.terms[position]
+        same = [o for o in bucket if o[2].terms[position] == constant]
+        free = [o for o in bucket if isinstance(o[2].terms[position], Variable)]
+        return same, free
+
+    positions = [
+        p for p, term in enumerate(probe.terms) if isinstance(term, Constant)
+    ]
+    if not positions:
+        return bucket
+    same, free = min(
+        (split(p) for p in positions), key=lambda lists: len(lists[0]) + len(lists[1])
+    )
+    return same + free
+
+
+def _reference_probe(graph: CoordinationGraph, query: EntangledQuery):
+    """``(new_edges, violations)`` by unifying every pair of standardized
+    atoms."""
+    std = query.standardized()
+    heads = [
+        (name, hi, atom)
+        for name, other in graph.queries.items()
+        for hi, atom in enumerate(other.standardized().head)
+    ]
+    posts = [
+        (name, pi, atom)
+        for name, other in graph.queries.items()
+        for pi, atom in enumerate(other.standardized().postconditions)
+    ]
+    edges = []
+    for pi, post in enumerate(std.postconditions):
+        for name, hi, head in _in_index_order(post, heads):
+            if unifiable(post, head):
+                edges.append(ExtendedEdge(query.name, pi, name, hi))
+        for hi, head in enumerate(std.head):
+            if unifiable(post, head):
+                edges.append(ExtendedEdge(query.name, pi, query.name, hi))
+    for hi, head in enumerate(std.head):
+        for name, pi, post in _in_index_order(head, posts):
+            if unifiable(post, head):
+                edges.append(ExtendedEdge(name, pi, query.name, hi))
+    before = Counter((e.source, e.post_index) for e in graph.extended_edges)
+    added = Counter((e.source, e.post_index) for e in edges)
+    violations = tuple(
+        (name, pi, before[(name, pi)] + count)
+        for (name, pi), count in sorted(added.items())
+        if before[(name, pi)] + count > 1
+    )
+    return tuple(edges), violations
+
+
+def _q(name, posts=(), head=()):
+    return EntangledQuery(name, posts, head)
+
+
+_X = Variable("x")
+
+
+class TestProbeAgainstBruteForce:
+    @given(_flat_query_sets())
+    @example(  # the index picks position 0; q0's head clashes at position 1
+        [
+            _q("q0", head=[Atom("R", [1, "1"])]),
+            _q("q1", head=[Atom("R", [2, 2])]),
+            _q("q2", head=[Atom("R", [True, 2])]),
+            _q("q3", posts=[Atom("R", [1.0, 2])], head=[Atom("S", [_X])]),
+        ]
+    )
+    @example(  # a repeated variable clashes; a shared name does not
+        [
+            _q("q0", head=[Atom("R", [1, 2]), Atom("R", [_X, 1])]),
+            _q("q1", posts=[Atom("R", [_X, _X]), Atom("R", [1, _X])]),
+            _q("q2", posts=[Atom("S", [_X, 1])], head=[Atom("S", [True, _X])]),
+        ]
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_arrival_probes_like_brute_force(self, queries):
+        graph = CoordinationGraph.build([])
+        for query in queries:
+            probe = graph.probe(query)
+            assert (probe.new_edges, probe.violations) == _reference_probe(
+                graph, query
+            )
+            graph = graph.with_arrival(probe)

@@ -15,8 +15,10 @@ evaluation.  None of that may be observable:
 * every recorded outcome, evaluated or settled, is exactly the result
   the SCC algorithm computes on a snapshot of the whole component taken
   just before it;
-* admission tokens keep the memoized standardized atoms of a re-admitted
-  query object from reviving its stale index entries.
+* admission tokens keep the memoized atom patterns of a re-admitted
+  query object from reviving its stale index entries;
+* only evaluated queries are standardized: a probe reads the original
+  atoms, and the plan phase standardizes the survivors it snapshots.
 """
 
 import random
@@ -453,7 +455,7 @@ def test_resubmitting_a_retracted_query_object_indexes_it_once():
     query = partner_query(leader, [member_name(2)])
     engine.submit(query)
     engine.retract(leader)
-    engine.submit(query)  # the same object, memoized standardization
+    engine.submit(query)  # the same object, memoized atom patterns
     _assert_follower_gets_one_edge(engine, leader)
 
 
@@ -467,24 +469,35 @@ def test_release_adopt_round_trip_into_the_donor_indexes_once():
     _assert_follower_gets_one_edge(engine, leader)
 
 
+def _memos(query: EntangledQuery) -> tuple:
+    """A query's memoized copies, compared by content."""
+    posts, heads = query.atom_patterns()
+    return (
+        query.standardized(),
+        [(p.atom, p.constants, p.linear) for p in posts + heads],
+        query.self_edges(),
+    )
+
+
 def test_concurrent_first_standardizations_agree():
-    """Router and worker threads may standardize one query at the same
+    """Router threads (the service probes every shard at once) and
+    worker threads may compile or standardize one query at the same
     time: every caller gets a correct copy, and once the race is over
-    the memo is one stable object."""
+    each memo is one stable object."""
 
     def build():
         return [
-            partner_query(member_name(i), [member_name(i + 1), member_name(i + 2)])
+            partner_query(member_name(i), [member_name(i + 1), member_name(i)])
             for i in range(300)
         ]
 
-    expected = [query.standardized() for query in build()]
+    expected = [_memos(query) for query in build()]
     fresh = build()
-    seen: List[List[EntangledQuery]] = [[] for _ in fresh]
+    seen: List[List[tuple]] = [[] for _ in fresh]
 
     def standardize_all():
         for index, query in enumerate(fresh):
-            seen[index].append(query.standardized())
+            seen[index].append(_memos(query))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -501,3 +514,54 @@ def test_concurrent_first_standardizations_agree():
         assert len(copies) == 8
         assert all(copy == want for copy in copies)
         assert query.standardized() is query.standardized()
+        assert query.atom_patterns() is query.atom_patterns()
+        assert query.self_edges() is query.self_edges()
+    assert all(memos[2] == ((1, 0),) for memos in expected)
+
+
+# ---------------------------------------------------------------------------
+# Only evaluated queries are standardized
+# ---------------------------------------------------------------------------
+def _is_standardized(query: EntangledQuery) -> bool:
+    return "_standardized" in query.__dict__
+
+
+def test_dead_end_arrivals_are_never_standardized():
+    """Arrivals that settle at admission — a chain whose last partner
+    never arrives, and a pair that waits on a missing member — are
+    probed (edges included) but never standardized."""
+    engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
+    chain = [partner_query(member_name(i), [member_name(i + 1)]) for i in range(6)]
+    queries = chain + [
+        partner_query(member_name(20), [member_name(21), member_name(99)]),
+        partner_query(member_name(21), [member_name(20)]),
+    ]
+    for query in queries:
+        handle = engine.admit(query)
+        assert handle.outcome is not None and handle.outcome.result.chosen is None
+    assert len(engine.graph().extended_edges) == 7
+    assert not any(_is_standardized(query) for query in queries)
+
+
+def test_evaluation_plan_standardizes_every_survivor():
+    """The plan phase (under the engine lock) standardizes the queries
+    it snapshots, so the unlocked run phase only reads the memos."""
+    engine = CoordinationEngine(members_database(size=DB_SIZE, seed=2012))
+    a, b, c = member_name(1), member_name(2), member_name(3)
+    queries = [
+        partner_query(c, [a, member_name(99)]),  # a dead end into the cycle
+        partner_query(a, [b]),
+        partner_query(b, [a]),
+    ]
+    handles = [engine.admit(query) for query in queries]
+    assert handles[-1].outcome is None  # the cycle is owed an evaluation
+    assert not any(_is_standardized(query) for query in queries)
+    with engine.lock:
+        plan = engine._evaluation_plan(handles[-1:])
+    survivors = plan.survivors.queries
+    assert sorted(survivors) == [a, b]
+    assert all(_is_standardized(query) for query in survivors.values())
+    assert not _is_standardized(queries[0])
+    memos = {name: query.standardized() for name, query in survivors.items()}
+    engine._run_evaluation(plan)
+    assert all(survivors[name].standardized() is memos[name] for name in memos)

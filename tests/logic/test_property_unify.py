@@ -6,14 +6,18 @@ The core invariants:
 * a successful unifier makes the two atoms syntactically equal;
 * the unifier is *most general*: any common ground instance of the two
   atoms factors through it;
-* ground atoms unify iff they are equal.
+* ground atoms unify iff they are equal;
+* on linear atoms that share no variable, the paper's position-wise
+  test (:class:`~repro.logic.AtomPattern`) is unification, and on any
+  pair it is necessary for it.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.logic import (
     Atom,
+    AtomPattern,
     Constant,
     Variable,
     apply_substitution,
@@ -93,3 +97,39 @@ def test_most_general(a, b, mapping):
 def test_ground_atoms_unify_iff_equal(xs, ys):
     a, b = Atom("R", xs), Atom("R", ys)
     assert unifiable(a, b) == (a == b)
+
+
+#: Equal as constants (``1 == True == 1.0``) but not as strings.
+_MIXED = st.sampled_from((0, 1, True, 1.0, "1"))
+
+
+def _mixed_atoms():
+    terms = st.one_of(_VAR_NAMES.map(Variable), _MIXED.map(Constant))
+    return st.builds(
+        Atom, st.sampled_from(("R", "S")), st.lists(terms, min_size=1, max_size=4)
+    )
+
+
+@given(_mixed_atoms(), _mixed_atoms())
+@settings(max_examples=300)
+def test_pattern_test_is_unification_on_linear_disjoint_atoms(a, b):
+    left, right = a.rename("left"), b.rename("right")  # share no variable
+    left_pattern, right_pattern = AtomPattern(left), AtomPattern(right)
+    assume(left_pattern.linear and right_pattern.linear)
+    assert left_pattern.compatible(right_pattern) == unifiable(left, right)
+
+
+@given(_mixed_atoms(), _mixed_atoms())
+def test_pattern_test_is_necessary_for_unification(a, b):
+    if unifiable(a, b):
+        assert AtomPattern(a).compatible(AtomPattern(b))
+
+
+def test_repeated_variable_is_not_linear():
+    x, y = Variable("x"), Variable("y")
+    assert AtomPattern(Atom("R", [x, y, 1])).linear
+    assert not AtomPattern(Atom("R", [x, x])).linear
+    # Standardizing apart renames by name, so x@a and x@b become one.
+    assert not AtomPattern(Atom("R", [x, Variable("x", "b")])).linear
+    assert AtomPattern(Atom("R", [x, x])).compatible(AtomPattern(Atom("R", [1, 2])))
+    assert not unifiable(Atom("R", [x, x]), Atom("R", [1, 2]))
