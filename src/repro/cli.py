@@ -46,7 +46,7 @@ Subcommands:
   ``--batch N`` coalesces consecutive submit lines into batched
   admission passes (``submit_many``); the summary line reports the
   replay's ops/s either way.  ``--serve HOST:PORT`` keeps the service
-  alive after the replay and serves it over the async gateway
+  alive after the replay and serves it over the gateway
   (:mod:`repro.core.gateway`) until interrupted or — with
   ``--allow-remote-shutdown`` — remotely stopped;
 * ``client HOST:PORT OP [...]`` — drive a running gateway: ``ping``,
@@ -744,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--serve",
         default=None,
         metavar="HOST:PORT",
-        help="after the replay, serve the service over the async gateway "
+        help="after the replay, serve the service over the gateway "
         "on HOST:PORT (port 0 picks a free port) until interrupted",
     )
     online.add_argument(

@@ -313,9 +313,6 @@ class CoordinationEngine:
         this flag at construction and do not flip it mid-stream (an
         engine that admitted unsafe arrivals while it was ``False``
         will not retroactively detect them).
-    reuse_groundings:
-        Forwarded to the SCC algorithm: seed each component's combined
-        query with its successors' groundings within one evaluation.
     reuse_component_states:
         Memoize per-SCC evaluation states across arrivals (see module
         docstring).  A state is reused only when the component's
@@ -340,13 +337,11 @@ class CoordinationEngine:
         db: Database,
         choose: SelectionCriterion = largest_candidate,
         check_safety: bool = True,
-        reuse_groundings: bool = False,
         reuse_component_states: bool = True,
     ) -> None:
         self.db = db
         self.choose = choose
         self.check_safety = check_safety
-        self.reuse_groundings = reuse_groundings
         #: Structure lock for the single-owner discipline: the engine's
         #: graph, union–find, pending pool, handles, and caches belong
         #: to exactly one thread at a time.  Single-threaded callers
@@ -557,7 +552,6 @@ class CoordinationEngine:
             graph,
             choose=self.choose,
             run_preprocessing=False,
-            reuse_groundings=self.reuse_groundings,
             component_cache=self._component_cache(),
             stats=stats,
         )
@@ -798,7 +792,6 @@ class CoordinationEngine:
             plan.survivors,
             choose=self.choose,
             run_preprocessing=False,
-            reuse_groundings=self.reuse_groundings,
             component_cache=plan.cache,
             stats=stats,
         )

@@ -1,48 +1,54 @@
-"""Async network gateway: the service's low-latency serving front.
+"""Network gateway: the service's serving front.
 
 :class:`Gateway` puts a real network edge in front of a
-:class:`~repro.core.service.ShardedCoordinationService`: an
-``asyncio`` socket server speaking length-prefixed
-:mod:`repro.db.wire` frames (the same versioned, CRC-checked,
-pickle-free codec and the same 4-byte big-endian length prefix that
-every hosted shard's lanes carry, see :mod:`repro.client`).  Clients
-submit entangled queries, retract, insert facts, and flush; the
-gateway translates request bursts into
-:meth:`~repro.core.service.ShardedCoordinationService.submit_many_nowait`
-batches and streams **resolution records**
+:class:`~repro.core.service.ShardedCoordinationService`: a
+:class:`~repro.client.FramedServer` (the socket server the shard host
+runs too) speaking length-prefixed :mod:`repro.db.wire` frames (the
+same versioned, CRC-checked, pickle-free codec and the same 4-byte
+big-endian length prefix that every hosted shard's lanes carry, see
+:mod:`repro.client`).  Clients submit entangled queries, retract,
+insert facts, and flush; the gateway runs each request against the
+service and streams **resolution records**
 (:func:`~repro.core.lifecycle.encode_resolution`) back as handles
 resolve, via the handles' ordinary ``on_resolved`` callbacks.
 
+Thread model
+------------
+Each connection runs on two plain threads.  The connection thread
+reads frames in order, runs each request against the service and
+queues its reply; a writer thread sends the queued replies and
+resolution events in FIFO order.  A ``submit`` is a one-query
+:meth:`~repro.core.service.ShardedCoordinationService.submit_many_nowait`,
+so every request gets its own answer: a malformed ``submit`` fails
+alone, and a failed admission replies ``rejected``.
+
 Latency model
 -------------
-The admission reply is sent as soon as the service admits the query —
-routing, migration, safety — never after its evaluation: arrival-to-
-admission latency is decoupled from evaluation latency end to end
-(inside the executors an admission waits out only an evaluation's
-short locked phases, under a thread shard's engine lock or on a hosted
-shard's control lane; this module keeps it so at the edge).  Resolution arrives later as an
+The admission reply is queued as soon as the service admits the query
+— routing, migration, safety — never after its evaluation:
+arrival-to-admission latency is decoupled from evaluation latency end
+to end (inside the executors an admission waits out only an
+evaluation's short locked phases, under a thread shard's engine lock
+or on a hosted shard's control lane).  Resolution arrives later as an
 *event frame* carrying the resolution record.
 
 Backpressure
 ------------
 Bounded everywhere, by construction:
 
-* each connection's **admission queue** is bounded (``max_inflight``);
-  when a client has that many admissions in flight the reader task
-  stops reading its socket — TCP backpressure reaches the client, the
-  gateway never buffers an unbounded request backlog;
-* admissions run on a small shared thread pool (the event loop never
-  blocks on the service's freeze-rule waits or mailbox bounds);
-* the **outbound queue** holds only admission replies (≤ in-flight
-  cap) plus resolution events for this connection's still-unresolved
-  submissions — a count the client controls, never other clients'
-  traffic.  The writer task awaits ``drain()`` after every frame, so a
-  slow reader throttles its own stream and nobody else's.
+* the connection thread stops reading while ``max_inflight`` replies
+  wait unsent — TCP backpressure reaches the client, the gateway never
+  buffers an unbounded request backlog;
+* the outbound queue holds only those replies plus resolution events
+  for this connection's still-unresolved submissions — a count the
+  client controls, never other clients' traffic.  The writer sends
+  one frame at a time with blocking writes, so a slow reader throttles
+  its own stream and nobody else's.
 
 A client that disconnects mid-stream leaks nothing: its handles keep
 resolving inside the service (resolution is a service-side fact, not a
-delivery), its event callbacks become no-ops, and its tasks and socket
-are torn down — asserted by the test suite's leaked-socket/task
+delivery), its event callbacks become no-ops, and its threads and
+socket are torn down — asserted by the test suite's leaked-thread
 fixture.
 
 Protocol
@@ -50,12 +56,11 @@ Protocol
 Requests are frames ``{"op": ..., "id": N, ...}``; every request gets
 exactly one reply frame ``{"id": N, "ok": true/false, ...}`` (errors
 carry ``{"error": {"kind", "message"}}`` with the same kinds the
-process executor uses), and event frames ``{"event": "resolution",
-"record": ...}`` arrive interleaved, unordered relative to *other*
-requests' replies.  Ops: ``ping``, ``status``, ``pending``, ``stats``,
-``probe``, ``submit``, ``submit_many``, ``retract``, ``insert``,
-``delete``, ``flush``, ``flush_drain``, and (when enabled)
-``shutdown``.
+process executor uses), in request order, and event frames
+``{"event": "resolution", "record": ...}`` arrive interleaved.  Ops:
+``ping``, ``status``, ``pending``, ``stats``, ``probe``, ``submit``,
+``submit_many``, ``retract``, ``insert``, ``delete``, ``flush``,
+``flush_drain``, and (when enabled) ``shutdown``.
 
 :class:`GatewayClient` is the small synchronous client the CLI and
 benchmarks drive; it pipelines requests and buffers event frames.
@@ -63,16 +68,15 @@ benchmarks drive; it pipelines requests and buffers event frames.
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..client import MAX_FRAME, FramedEndpoint, checked_length, pack_frame
+from ..client import FramedEndpoint, FramedServer, pack_frame
 from ..concurrency import SHUTDOWN_GRACE
 from ..db import wire
-from ..errors import PreconditionError, ReproError
+from ..errors import PreconditionError, ReproError, WireError
 from .lifecycle import QueryHandle, encode_resolution
 from .query import EntangledQuery
 
@@ -80,7 +84,6 @@ __all__ = [
     "Gateway",
     "GatewayClient",
     "GatewayError",
-    "MAX_FRAME",
     "pack_frame",
 ]
 
@@ -89,46 +92,43 @@ class GatewayError(ReproError):
     """A gateway request failed (transport, protocol, or remote error)."""
 
 
-def _checked_length(prefix: bytes) -> int:
-    return checked_length(prefix, GatewayError)
-
-
 # ---------------------------------------------------------------------------
 # Server side
 # ---------------------------------------------------------------------------
 class _Connection:
-    """One client connection's tasks and queues (server side)."""
+    """One client connection (server side).
 
-    def __init__(self, gateway: "Gateway", reader, writer) -> None:
+    :meth:`run` is the connection thread: it reads requests in order,
+    runs each against the service and queues its reply.  A writer
+    thread sends the queue — replies and resolution events — in FIFO
+    order through this module's :func:`pack_frame`.
+    """
+
+    def __init__(self, gateway: "Gateway", sock: socket.socket) -> None:
         self.gateway = gateway
-        self.reader = reader
-        self.writer = writer
-        self.closed = False
-        self.loop = asyncio.get_running_loop()
-        #: Bounded: a full queue stops the reader task — the gateway's
-        #: in-flight admission cap and the client's TCP backpressure.
-        self.admissions: "asyncio.Queue[Optional[dict]]" = asyncio.Queue(
-            maxsize=gateway.max_inflight
-        )
-        #: Outbound frames.  Unbounded as a queue, bounded in fact: it
-        #: only ever holds ≤ max_inflight admission replies plus one
-        #: resolution event per still-unresolved submission.
-        self.outbound: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()
+        self.sock = sock
+        self.endpoint = FramedEndpoint.connected(sock, GatewayError)
+        #: Guards the fields below.  The writer waits on it for frames,
+        #: the connection thread for a free reply slot.
+        self.cond = threading.Condition()
+        #: ``(frame, is_reply)`` in send order.  Unbounded as a queue,
+        #: bounded in fact: ≤ max_inflight replies plus one resolution
+        #: event per still-unresolved submission.
+        self.outbound: Deque[Tuple[dict, bool]] = deque()
+        #: Replies queued or being sent.
+        self.unsent = 0
+        #: Cleared when the connection thread ends (the writer sends
+        #: what is queued, then stops) or a send fails; frames pushed
+        #: after that are dropped.
+        self.open = True
 
-    # -- event push (called from service/dispatcher threads) ------------
-    def push_event(self, payload: dict) -> None:
-        if self.closed:
-            return
-        try:
-            self.loop.call_soon_threadsafe(self._enqueue_event, payload)
-        except RuntimeError:
-            # Loop already closed (gateway shutting down) — the client
-            # is gone; dropping the event leaks nothing.
-            pass
-
-    def _enqueue_event(self, payload: dict) -> None:
-        if not self.closed:
-            self.outbound.put_nowait(payload)
+    def push(self, frame: dict, reply: bool = False) -> None:
+        """Queue one frame for the writer (any thread)."""
+        with self.cond:
+            if self.open:
+                self.outbound.append((frame, reply))
+                self.unsent += reply
+                self.cond.notify_all()
 
     def stream_resolutions(self, handles: Iterable[QueryHandle]) -> None:
         """Stream each handle's resolution record when it resolves.
@@ -138,179 +138,114 @@ class _Connection:
         """
         for handle in handles:
             handle.on_resolved(
-                lambda resolved: self.push_event(
+                lambda resolved: self.push(
                     {"event": "resolution", "record": encode_resolution(resolved)}
                 )
             )
 
-    # -- tasks -----------------------------------------------------------
-    async def run(self) -> None:
-        admission_task = asyncio.ensure_future(self._admission_loop())
-        writer_task = asyncio.ensure_future(self._writer_loop())
+    # -- threads ---------------------------------------------------------
+    def run(self) -> None:
+        writer = threading.Thread(
+            target=self._write_loop, name="repro-gateway-writer", daemon=True
+        )
+        writer.start()
         try:
-            await self._reader_loop()
+            self._read_loop()
         finally:
-            self.closed = True
-            await self.admissions.put(None)
-            await admission_task
-            self.outbound.put_nowait(None)
-            await writer_task
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
+            with self.cond:
+                self.open = False
+                self.cond.notify_all()
+            writer.join()
 
-    async def _reader_loop(self) -> None:
-        while not self.closed:
+    def _read_loop(self) -> None:
+        cap = self.gateway.max_inflight
+        while True:
+            with self.cond:
+                self.cond.wait_for(lambda: self.unsent < cap or not self.open)
+                if not self.open:
+                    return
             try:
-                prefix = await self.reader.readexactly(4)
-                frame = await self.reader.readexactly(_checked_length(prefix))
-            except (asyncio.IncompleteReadError, OSError, ConnectionError):
+                frame = self.endpoint.recv_frame()
+            except (GatewayError, OSError):
                 return
             try:
                 message = wire.loads(frame)
+                if not isinstance(message, dict):
+                    raise WireError("a request frame must carry one object")
             except ReproError as error:
-                await self.outbound.put(
-                    {
-                        "id": None,
-                        "ok": False,
-                        "error": {"kind": "protocol", "message": str(error)},
-                    }
-                )
+                self.push(_error_reply(None, "protocol", str(error)), reply=True)
                 return
-            op = message.get("op")
-            if op in ("ping", "status", "pending", "stats"):
-                # Cheap introspection answered on the loop: these only
-                # take brief table locks, never freeze-rule waits.
-                await self.outbound.put(self._inline_reply(message))
-            else:
-                await self.admissions.put(message)
-
-    def _inline_reply(self, message: dict) -> dict:
-        service = self.gateway.service
-        rid = message.get("id")
-        op = message["op"]
-        try:
-            if op == "ping":
-                return {"id": rid, "ok": True, "pong": True}
-            if op == "status":
-                state = service.status(message["name"])
-                return {
-                    "id": rid,
-                    "ok": True,
-                    "state": None if state is None else state.value,
-                }
-            if op == "pending":
-                return {"id": rid, "ok": True, "names": list(service.pending())}
-            if op == "stats":
-                return {
-                    "id": rid,
-                    "ok": True,
-                    "pending_per_shard": list(service.shard_pending_counts()),
-                    "cost_scores": list(service.shard_cost_scores()),
-                    "migrations": service.migrations,
-                    "rebalances": service.rebalances,
-                }
-            return _error_reply(rid, "precondition", f"unknown op {op!r}")
-        except ReproError as error:
-            return _error_reply(rid, "repro", str(error))
-
-    async def _admission_loop(self) -> None:
-        pushback: Optional[dict] = None
-        while True:
-            message = pushback if pushback is not None else await self.admissions.get()
-            pushback = None
-            if message is None:
-                return
-            if message.get("op") == "submit":
-                # Coalesce the burst: every consecutively queued submit
-                # joins one submit_many_nowait call — one router pass,
-                # one evaluation job per affected component.
-                batch = [message]
-                stopping = False
-                while len(batch) < self.gateway.max_batch:
-                    try:
-                        nxt = self.admissions.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if nxt is None:
-                        # Shutdown sentinel mid-coalesce: flush this
-                        # batch's replies, then retire the loop.
-                        stopping = True
-                        break
-                    if nxt.get("op") != "submit":
-                        pushback = nxt
-                        break
-                    batch.append(nxt)
-                replies = await self._run_blocking(self._admit_batch, batch)
-                for reply in replies:
-                    await self.outbound.put(reply)
-                if stopping:
-                    return
-                continue
             if message.get("op") == "shutdown":
-                await self._handle_shutdown(message)
-                continue
-            reply = await self._run_blocking(self._execute, message)
-            await self.outbound.put(reply)
+                self._shutdown(message.get("id"))
+            else:
+                self.push(self._execute(message), reply=True)
 
-    async def _handle_shutdown(self, message: dict) -> None:
-        """Reply first, *flush* the reply, then signal shutdown — the
-        client must see its acknowledgement before the loop tears the
-        connection down."""
-        rid = message.get("id")
+    def _shutdown(self, rid) -> None:
+        """Reply first, wait until the reply is sent, then stop accepting:
+        the client must see its acknowledgement before the server's owner
+        tears the connection down."""
         if not self.gateway.allow_shutdown:
-            await self.outbound.put(
-                _error_reply(rid, "precondition", "shutdown is not enabled")
+            self.push(
+                _error_reply(rid, "precondition", "shutdown is not enabled"),
+                reply=True,
             )
             return
-        await self.outbound.put({"id": rid, "ok": True})
-        try:
-            await asyncio.wait_for(self.outbound.join(), timeout=SHUTDOWN_GRACE)
-        except asyncio.TimeoutError:  # pragma: no cover - dead writer
-            pass
-        self.gateway._request_shutdown()
+        self.push({"id": rid, "ok": True}, reply=True)
+        with self.cond:
+            self.cond.wait_for(
+                lambda: not self.unsent or not self.open, SHUTDOWN_GRACE
+            )
+        self.gateway.stop_accepting()
 
-    async def _run_blocking(self, fn, *args):
-        return await self.loop.run_in_executor(self.gateway._pool, fn, *args)
+    def _write_loop(self) -> None:
+        while True:
+            with self.cond:
+                self.cond.wait_for(lambda: self.outbound or not self.open)
+                if not self.outbound:
+                    return
+                frame, reply = self.outbound.popleft()
+            try:
+                self.sock.sendall(pack_frame(frame))
+            except (OSError, ReproError):
+                # The client is gone (or the frame cannot be encoded):
+                # drop the rest, and wake a connection thread blocked
+                # on its socket or on a reply slot.
+                with self.cond:
+                    self.open = False
+                    self.outbound.clear()
+                    self.cond.notify_all()
+                try:
+                    self.sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                return
+            if reply:
+                with self.cond:
+                    self.unsent -= 1
+                    self.cond.notify_all()
 
-    def _admit_batch(self, batch: List[dict]) -> List[dict]:
-        """Admission for a coalesced submit burst (worker thread)."""
-        service = self.gateway.service
-        try:
-            queries = [wire.decode_query(m["query"]) for m in batch]
-        except Exception as error:  # malformed payload shapes raise KeyError &c.
-            return [
-                _error_reply(m.get("id"), "protocol", repr(error)) for m in batch
-            ]
-        try:
-            handles = service.submit_many_nowait(queries)
-        except ReproError as error:
-            return [
-                _error_reply(m.get("id"), "repro", str(error)) for m in batch
-            ]
-        except BaseException as error:  # noqa: BLE001 - forwarded to client
-            return [
-                _error_reply(m.get("id"), "internal", repr(error)) for m in batch
-            ]
-        self.stream_resolutions(handles)
-        return [
-            {
-                "id": message.get("id"),
-                "ok": True,
-                "name": handle.query,
-                "state": handle.state.value,
-            }
-            for message, handle in zip(batch, handles)
-        ]
-
+    # -- requests --------------------------------------------------------
     def _execute(self, message: dict) -> dict:
-        """One non-submit request against the service (worker thread)."""
+        """Run one request against the service; return its reply."""
         service = self.gateway.service
         rid = message.get("id")
         op = message.get("op")
         try:
+            if op == "ping":
+                return {"id": rid, "ok": True, "pong": True}
+            if op == "submit":
+                try:
+                    query = wire.decode_query(message["query"])
+                except Exception as error:  # malformed payloads raise KeyError &c.
+                    return _error_reply(rid, "protocol", repr(error))
+                (handle,) = service.submit_many_nowait([query])
+                self.stream_resolutions([handle])
+                return {
+                    "id": rid,
+                    "ok": True,
+                    "name": handle.query,
+                    "state": handle.state.value,
+                }
             if op == "submit_many":
                 queries = [wire.decode_query(q) for q in message["queries"]]
                 handles = service.submit_many_nowait(queries)
@@ -334,15 +269,10 @@ class _Connection:
                 row = wire.decode_rows(message["row"])[0]
                 deleted = service.delete(message["relation"], row)
                 return {"id": rid, "ok": True, "deleted": deleted}
-            if op == "flush":
-                results = service.flush()
-                return {
-                    "id": rid,
-                    "ok": True,
-                    "results": [wire.encode_result(r) for r in results],
-                }
-            if op == "flush_drain":
-                results = service.flush_drain()
+            if op in ("flush", "flush_drain"):
+                results = (
+                    service.flush() if op == "flush" else service.flush_drain()
+                )
                 return {
                     "id": rid,
                     "ok": True,
@@ -351,54 +281,56 @@ class _Connection:
             if op == "probe":
                 names = service.probe(int(message["shard"]))
                 return {"id": rid, "ok": True, "names": list(names)}
+            if op == "status":
+                state = service.status(message["name"])
+                return {
+                    "id": rid,
+                    "ok": True,
+                    "state": None if state is None else state.value,
+                }
+            if op == "pending":
+                return {"id": rid, "ok": True, "names": list(service.pending())}
+            if op == "stats":
+                return {
+                    "id": rid,
+                    "ok": True,
+                    "pending_per_shard": list(service.shard_pending_counts()),
+                    "cost_scores": list(service.shard_cost_scores()),
+                    "migrations": service.migrations,
+                    "rebalances": service.rebalances,
+                }
             return _error_reply(rid, "precondition", f"unknown op {op!r}")
         except PreconditionError as error:
             return _error_reply(rid, "precondition", str(error))
         except ReproError as error:
             return _error_reply(rid, "repro", str(error))
-        except BaseException as error:  # noqa: BLE001 - forwarded to client
+        except Exception as error:  # forwarded to the client
             return _error_reply(rid, "internal", repr(error))
-
-    async def _writer_loop(self) -> None:
-        while True:
-            item = await self.outbound.get()
-            try:
-                if item is None:
-                    return
-                try:
-                    self.writer.write(pack_frame(item))
-                    # Drain after every frame: a slow client throttles
-                    # its own stream here instead of growing a server
-                    # buffer.
-                    await self.writer.drain()
-                except (OSError, ConnectionError):
-                    self.closed = True
-                    return
-            finally:
-                # Keeps outbound.join() truthful (the shutdown path
-                # waits on it to flush the acknowledgement).
-                self.outbound.task_done()
 
 
 def _error_reply(rid, kind: str, message: str) -> dict:
     return {"id": rid, "ok": False, "error": {"kind": kind, "message": message}}
 
 
-class Gateway:
+class Gateway(FramedServer):
     """Serve a sharded coordination service over a TCP socket.
 
-    Runs its own event loop on a daemon thread, so synchronous code
-    (the CLI, tests) can :meth:`start`/:meth:`close` it directly; use
-    it as a context manager for scoped serving.  ``port=0`` binds an
+    A :class:`~repro.client.FramedServer`, so synchronous code (the
+    CLI, tests) can :meth:`start`/:meth:`close` it directly; use it as
+    a context manager for scoped serving.  ``port=0`` binds an
     ephemeral port — read the bound address from :attr:`address`.
+    Closing the gateway leaves the service to its owner: pending
+    handles keep resolving after the edge is gone.
 
-    ``max_inflight`` bounds each connection's in-flight admissions
-    (its reader stops consuming at the cap — backpressure, not
-    buffering); ``max_batch`` caps how many queued submits coalesce
-    into one ``submit_many_nowait`` call; ``allow_shutdown`` enables
-    the remote ``shutdown`` op (off by default — a client must not be
-    able to stop a shared server unless the operator opted in).
+    ``max_inflight`` bounds each connection's unsent replies (its
+    connection thread stops reading at the cap — backpressure, not
+    buffering); ``allow_shutdown`` enables the remote ``shutdown`` op
+    (off by default — a client must not be able to stop a shared
+    server unless the operator opted in).  An acknowledged ``shutdown``
+    stops accepting, so :meth:`wait` returns.
     """
+
+    thread_name = "repro-gateway"
 
     def __init__(
         self,
@@ -406,144 +338,17 @@ class Gateway:
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
-        max_batch: int = 32,
         allow_shutdown: bool = False,
-        admission_threads: int = 4,
     ) -> None:
-        if max_inflight < 1 or max_batch < 1:
-            raise PreconditionError(
-                "max_inflight and max_batch must be at least 1"
-            )
+        if max_inflight < 1:
+            raise PreconditionError("max_inflight must be at least 1")
+        super().__init__(host, port)
         self.service = service
-        self.host = host
-        self.port = port
         self.max_inflight = max_inflight
-        self.max_batch = max_batch
         self.allow_shutdown = allow_shutdown
-        self._pool = ThreadPoolExecutor(
-            max_workers=admission_threads, thread_name_prefix="repro-gateway"
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._address: Optional[Tuple[str, int]] = None
-        self._conns: set = set()
-        self._conn_tasks: set = set()
 
-    # -- lifecycle -------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._address is None:
-            raise PreconditionError("gateway is not started")
-        return self._address
-
-    def start(self) -> Tuple[str, int]:
-        """Bind, start serving on a background thread, return the address."""
-        if self._thread is not None:
-            raise PreconditionError("gateway already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-gateway-loop", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            self._thread = None
-            raise self._startup_error
-        assert self._address is not None
-        return self._address
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the serving loop exits (remote ``shutdown`` op
-        or :meth:`close` from another thread); ``True`` when it has."""
-        thread = self._thread
-        if thread is None:
-            return True
-        thread.join(timeout)
-        return not thread.is_alive()
-
-    def close(self, timeout: Optional[float] = SHUTDOWN_GRACE) -> None:
-        """Stop serving: close the listener and every live connection.
-
-        Idempotent.  The default budget is
-        :data:`repro.concurrency.SHUTDOWN_GRACE` (shared with every
-        other teardown ladder).  The service itself is untouched — it
-        belongs to the caller (pending handles keep resolving after
-        the edge is gone).
-        """
-        if self._thread is None:
-            return
-        self._request_shutdown()
-        self._thread.join(timeout)
-        self._thread = None
-        self._pool.shutdown(wait=False)
-
-    def _request_shutdown(self) -> None:
-        loop, shutdown = self._loop, self._shutdown
-        if loop is None or shutdown is None:
-            return
-        try:
-            loop.call_soon_threadsafe(shutdown.set)
-        except RuntimeError:  # pragma: no cover - loop already gone
-            pass
-
-    def __enter__(self) -> "Gateway":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- event loop ------------------------------------------------------
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:  # noqa: BLE001 - surfaced via start()
-            if not self._started.is_set():
-                self._startup_error = error
-                self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-        except OSError as error:
-            self._startup_error = error
-            self._started.set()
-            return
-        self._address = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        async with server:
-            await self._shutdown.wait()
-            for conn in list(self._conns):
-                conn.closed = True
-                conn.writer.close()
-        if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=SHUTDOWN_GRACE)
-
-    async def _handle_connection(self, reader, writer) -> None:
-        conn = _Connection(self, reader, writer)
-        self._conns.add(conn)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            await conn.run()
-        finally:
-            self._conns.discard(conn)
-            if task is not None:
-                self._conn_tasks.discard(task)
-
-    @property
-    def connection_count(self) -> int:
-        """Live client connections (leak assertion hook for tests)."""
-        return len(self._conns)
+    def serve(self, sock: socket.socket) -> None:
+        _Connection(self, sock).run()
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,6 @@ class ProcessShardExecutor(ShardProxy):
         self,
         db: Database,
         index: int,
-        check_safety: bool = True,
         reuse_component_states: bool = True,
         control_lane: bool = True,
         plan_cache: bool = True,
@@ -155,7 +154,6 @@ class ProcessShardExecutor(ShardProxy):
                 child_main,
                 child_control,
                 {
-                    "check_safety": check_safety,
                     "reuse_component_states": reuse_component_states,
                     "plan_cache": plan_cache,
                     "composite_indexes": composite_indexes,

@@ -7,8 +7,9 @@ this module adds the listener, the handshake and the address:
 
 * :class:`ShardHost` — the worker side, a standalone server any
   machine can run (``python -m repro shard-host HOST:PORT``).  It is a
-  listening socket, an accept thread, and one blocking thread per
-  accepted connection.  Each router lane opens with a small **hello
+  :class:`~repro.client.FramedServer` (a listening socket, an accept
+  thread, and one blocking thread per accepted connection, shared with
+  the gateway).  Each router lane opens with a small **hello
   handshake** that names its lane and session: a main lane builds one
   :class:`~repro.core.transport.WorkerSession` (private lock-free
   replica + engine); a control lane attaches to it.  The connection's
@@ -39,12 +40,10 @@ from __future__ import annotations
 
 import socket
 import sys
-import threading
 import uuid
 from typing import Dict, Optional, Tuple, Union
 
-from ..client import FramedEndpoint
-from ..concurrency import SHUTDOWN_GRACE, Deadline
+from ..client import FramedEndpoint, FramedServer
 from ..db import Database, wire
 from ..errors import ConcurrencyError, PreconditionError, ReproError
 from .transport import (
@@ -84,11 +83,12 @@ def parse_address(spec: Address) -> Tuple[str, int]:
 # ---------------------------------------------------------------------------
 # Worker side: the shard host server
 # ---------------------------------------------------------------------------
-class ShardHost:
+class ShardHost(FramedServer):
     """Host engine shards for remote routers, over TCP.
 
-    ``start()`` binds (``port=0`` binds ephemerally) and returns the
-    bound address; ``close()`` tears down within
+    A :class:`~repro.client.FramedServer`: ``start()`` binds
+    (``port=0`` binds ephemerally) and returns the bound address;
+    ``close()`` tears down within
     :data:`~repro.concurrency.SHUTDOWN_GRACE`.  One host serves any
     number of shard sessions — each router main-lane connection owns a
     private :class:`~repro.core.transport.WorkerSession`, so several
@@ -97,133 +97,33 @@ class ShardHost:
     for another's frames.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self.host = host
-        self.port = port
-        self._sessions: Dict[str, WorkerSession] = {}
-        self._listener: Optional[socket.socket] = None
-        self._thread: Optional[threading.Thread] = None
-        self._address: Optional[Tuple[str, int]] = None
-        # Guards the session table and the live lanes below.
-        self._lock = threading.Lock()
-        self._lanes: Dict[socket.socket, threading.Thread] = {}
-        self._closing = False
+    thread_name = "repro-shard-host"
 
-    # -- lifecycle -------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._address is None:
-            raise PreconditionError("shard host is not started")
-        return self._address
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__(host, port)
+        # Under the server's lock, like its connection table.
+        self._sessions: Dict[str, WorkerSession] = {}
 
     @property
     def session_count(self) -> int:
         """Live shard sessions (leak assertion hook for tests)."""
         return len(self._sessions)
 
-    def start(self) -> Tuple[str, int]:
-        """Bind, start serving on a background thread, return the address."""
-        if self._thread is not None:
-            raise PreconditionError("shard host already started")
-        family = socket.getaddrinfo(
-            self.host, self.port, type=socket.SOCK_STREAM
-        )[0][0]
-        self._listener = socket.create_server(
-            (self.host, self.port), family=family
-        )
-        self._address = self._listener.getsockname()[:2]
-        self._closing = False
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="repro-shard-host-accept", daemon=True
-        )
-        self._thread.start()
-        return self._address
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the serving loop exits; ``True`` when it has."""
-        thread = self._thread
-        if thread is None:
-            return True
-        thread.join(timeout)
-        return not thread.is_alive()
-
-    def close(self, timeout: Optional[float] = SHUTDOWN_GRACE) -> None:
-        """Stop serving and drop every session (idempotent).
-
-        Shuts down the listener and every live connection, which wakes
-        the accept thread and every lane thread blocked on a read; a
-        lane mid-command finishes it, finds its peer gone and ends.
-        """
-        if self._thread is None:
-            return
-        deadline = Deadline(timeout)
-        with self._lock:
-            self._closing = True
-            sockets = [self._listener, *self._lanes]
-            threads = [self._thread, *self._lanes.values()]
-        for sock in sockets:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # not connected, or already shut down
-        for thread in threads:
-            thread.join(deadline.remaining())
-        self._listener.close()
-        self._thread = None
-
-    def __enter__(self) -> "ShardHost":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- serving ---------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # the listener was shut down
-            # Each reply is one write; Nagle could only hold its tail
-            # back behind a delayed ACK.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(sock,),
-                name="repro-shard-host-lane",
-                daemon=True,
-            )
-            with self._lock:
-                if self._closing:
-                    sock.close()
-                    return
-                # Started under the lock, so close() never joins a
-                # thread that has not started.
-                self._lanes[sock] = thread
-                thread.start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
+    def serve(self, sock: socket.socket) -> None:
         """One connection: the hello handshake, then its lane loop."""
         endpoint = FramedEndpoint.connected(sock, EOFError)
-        owned: Optional[str] = None
+        accepted = self._handshake(endpoint)
+        if accepted is None:
+            return
+        session, token, lane = accepted
+        if lane == "control":
+            serve_lane(endpoint, session.handle_control, main=False)
+            return
         try:
-            accepted = self._handshake(endpoint)
-            if accepted is None:
-                return
-            session, token, lane = accepted
-            if lane == "main":
-                owned = token
-                serve_lane(endpoint, session.handle_main)
-            else:
-                serve_lane(endpoint, session.handle_control, main=False)
+            serve_lane(endpoint, session.handle_main)
         finally:
             with self._lock:
-                if owned is not None:
-                    self._sessions.pop(owned, None)
-                self._lanes.pop(sock, None)
-            endpoint.close()
+                self._sessions.pop(token, None)
 
     def _handshake(
         self, endpoint: FramedEndpoint
@@ -266,7 +166,6 @@ class ShardHost:
                     raise PreconditionError(f"session {token!r} already exists")
                 options = hello.get("options") or {}
                 session = self._sessions[token] = WorkerSession(
-                    check_safety=bool(options.get("check_safety", True)),
                     reuse_component_states=bool(
                         options.get("reuse_component_states", True)
                     ),
@@ -309,7 +208,6 @@ class RemoteShardTransport(ShardProxy):
         db: Database,
         index: int,
         address: Address,
-        check_safety: bool = True,
         reuse_component_states: bool = True,
         control_lane: bool = True,
         timeout: Optional[float] = None,
@@ -320,7 +218,6 @@ class RemoteShardTransport(ShardProxy):
         self.host, self.port = parse_address(address)
         self.session = uuid.uuid4().hex
         options = {
-            "check_safety": check_safety,
             "reuse_component_states": reuse_component_states,
             "plan_cache": plan_cache,
             "composite_indexes": composite_indexes,

@@ -222,7 +222,6 @@ class ServiceConfig:
     shards: int = 2
     workers: Optional[int] = None
     choose: SelectionCriterion = largest_candidate
-    check_safety: bool = True
     reuse_component_states: bool = True
     mailbox_capacity: int = 1024
     executor: str = "thread"
@@ -284,7 +283,7 @@ class ShardedCoordinationService:
         Bound on each shard's job mailbox (worker mode).  A full
         mailbox blocks the enqueueing thread — the service's
         backpressure against unbounded arrival bursts.
-    choose, check_safety, reuse_component_states:
+    choose, reuse_component_states:
         Forwarded to every shard's
         :class:`~repro.core.engine.CoordinationEngine`.
     executor:
@@ -354,7 +353,6 @@ class ShardedCoordinationService:
         shards = config.shards
         workers = config.workers
         choose = config.choose
-        check_safety = config.check_safety
         reuse_component_states = config.reuse_component_states
         mailbox_capacity = config.mailbox_capacity
         executor = config.executor
@@ -417,7 +415,6 @@ class ShardedCoordinationService:
                             ProcessShardExecutor(
                                 db,
                                 index,
-                                check_safety=check_safety,
                                 reuse_component_states=reuse_component_states,
                                 control_lane=control_lane,
                                 plan_cache=db.plan_cache_enabled,
@@ -430,7 +427,6 @@ class ShardedCoordinationService:
                                 db,
                                 index,
                                 remote_shards[index],
-                                check_safety=check_safety,
                                 reuse_component_states=reuse_component_states,
                                 control_lane=control_lane,
                                 plan_cache=db.plan_cache_enabled,
@@ -448,7 +444,6 @@ class ShardedCoordinationService:
                 CoordinationEngine(
                     db,
                     choose=choose,
-                    check_safety=check_safety,
                     reuse_component_states=reuse_component_states,
                 )
                 for _ in range(shards)

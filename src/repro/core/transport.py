@@ -186,7 +186,6 @@ class WorkerSession:
 
     def __init__(
         self,
-        check_safety: bool = True,
         reuse_component_states: bool = True,
         plan_cache: bool = True,
         composite_indexes: bool = True,
@@ -199,7 +198,6 @@ class WorkerSession:
         )
         self.engine = CoordinationEngine(
             self.replica,
-            check_safety=check_safety,
             reuse_component_states=reuse_component_states,
         )
         self.resolutions: List[dict] = []

@@ -4,8 +4,10 @@ Four claims from the serving-front design (DESIGN.md §12):
 
 * **protocol** — every request/reply and event frame survives the
   length-prefixed :mod:`repro.db.wire` stream transport byte-exactly
-  (property-tested with the wire suite's own strategies), and error
-  replies carry the same kind taxonomy the process executor uses;
+  (property-tested with the wire suite's own strategies), every
+  request gets its own reply (a malformed submit fails alone), and
+  error replies carry the same kind taxonomy the process executor
+  uses;
 * **backpressure** — a client that pipelines far past ``max_inflight``
   without reading replies stalls itself, never the gateway: all
   replies eventually arrive, nothing is dropped, no queue grows
@@ -25,6 +27,8 @@ at ``drain(raise_errors=True)``/``close()`` — one as itself, several
 as one ``ExceptionGroup`` — never silently on some later call.
 """
 
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -34,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import (
     CallbackDispatcher,
     EntangledQuery,
@@ -43,7 +48,8 @@ from repro.core import (
     ServiceConfig,
     ShardedCoordinationService,
 )
-from repro.core.gateway import pack_frame, _checked_length
+from repro.client import checked_length
+from repro.core.gateway import pack_frame
 from repro.db import wire
 from repro.errors import PreconditionError
 from repro.logic import Atom, Variable
@@ -57,11 +63,13 @@ from test_wire import atoms, names, values  # noqa: E402
 
 DB_SIZE = 300
 DEADLINE = 10.0
+SRC_DIR = Path(repro.__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_gateway_state():
-    """Every test must tear its gateways down (sockets, loop threads)."""
+    """Every test must tear its gateways down: the accept, connection
+    and writer threads, and with them their sockets."""
     yield
     deadline = time.monotonic() + DEADLINE
     while time.monotonic() < deadline:
@@ -116,7 +124,7 @@ def _wait_connections(gateway: Gateway, count: int) -> None:
 def test_framed_transport_round_trip(value):
     payload = {"op": "probe", "id": 7, "payload": wire.encode_value(value)}
     frame = pack_frame(payload)
-    length = _checked_length(frame[:4])
+    length = checked_length(frame[:4], GatewayError)
     assert length == len(frame) - 4
     assert wire.loads(frame[4:]) == payload
 
@@ -139,7 +147,7 @@ def test_oversized_length_prefix_rejected():
     import struct
 
     with pytest.raises(GatewayError):
-        _checked_length(struct.pack(">I", 33 * 1024 * 1024))
+        checked_length(struct.pack(">I", 33 * 1024 * 1024), GatewayError)
 
 
 def test_gateway_round_trips_and_error_kinds():
@@ -179,6 +187,22 @@ def test_gateway_round_trips_and_error_kinds():
                 with pytest.raises(GatewayError):
                     client.request("submit", query={"not": "a query"})
         assert gateway.connection_count == 0
+    finally:
+        service.close()
+
+
+def test_a_frame_that_is_not_a_request_object_is_a_protocol_error():
+    service = _service()
+    try:
+        with Gateway(service) as gateway:
+            host, port = gateway.address
+            with GatewayClient(host, port) as client:
+                client._conn.send_frame(wire.dumps([1, 2]))
+                # Answered with a protocol error (no request id), then
+                # the connection ends: the stream is no longer trusted.
+                with pytest.raises(GatewayError, match="protocol"):
+                    client._pump_one()
+            _wait_connections(gateway, 0)
     finally:
         service.close()
 
@@ -223,13 +247,77 @@ def test_submit_many_batches_and_rejections_stream_records():
         service.close()
 
 
+def test_each_queued_submit_gets_its_own_answer():
+    service = _service()
+    try:
+        with Gateway(service) as gateway:
+            host, port = gateway.address
+            with GatewayClient(host, port) as client:
+                burst = client.request_nowait(
+                    "submit_many",
+                    queries=[
+                        wire.encode_query(_stalled_join(member_name(100 + n)))
+                        for n in range(32)
+                    ],
+                )
+                # The insert waits for the burst's evaluations, so the
+                # submits behind it are all queued when it returns.
+                insert = client.request_nowait(
+                    "insert",
+                    relation="Members",
+                    row=wire.encode_rows([("newcomer", "region", "interest", 1)]),
+                )
+                first, malformed, second = (
+                    client.request_nowait("submit", query=payload)
+                    for payload in (
+                        wire.encode_query(partner_query("a", ["b"])),
+                        {"not": "a query"},
+                        wire.encode_query(partner_query("c", ["d"])),
+                    )
+                )
+                admissions = client.read_reply(burst)["admissions"]
+                assert [a["state"] for a in admissions] == ["pending"] * 32
+                assert client.read_reply(insert)["inserted"]
+                # A malformed submit fails alone: each submit is its own
+                # admission, never a batch that shares one error.
+                assert client.read_reply(first)["state"] == "pending"
+                with pytest.raises(GatewayError, match="protocol"):
+                    client.read_reply(malformed)
+                assert client.read_reply(second)["state"] == "pending"
+        assert gateway.connection_count == 0
+    finally:
+        service.close()
+
+
+def test_importing_the_library_loads_no_event_loop():
+    # Both socket servers run on blocking threads; asyncio (which also
+    # loads ssl) would cost every process that imports the library.
+    code = (
+        "import sys; before = set(sys.modules); import repro; "
+        "print(sorted({'asyncio', 'ssl'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Backpressure: a slow client throttles itself, loses nothing
 # ---------------------------------------------------------------------------
 def test_pipelined_burst_far_past_inflight_cap_loses_nothing():
     service = _service()
     try:
-        with Gateway(service, max_inflight=4, max_batch=8) as gateway:
+        with Gateway(service, max_inflight=4) as gateway:
             host, port = gateway.address
             with GatewayClient(host, port) as client:
                 count = 80
@@ -245,8 +333,9 @@ def test_pipelined_burst_far_past_inflight_cap_loses_nothing():
                     for i in range(count)
                 ]
                 # Only now start reading: the gateway had to absorb the
-                # whole burst with a 4-deep admission queue — by parking
-                # the reader task, never by buffering or dropping.
+                # whole burst with at most 4 replies waiting unsent — by
+                # parking its connection thread, never by buffering or
+                # dropping.
                 replies = [client.read_reply(rid) for rid in rids]
                 assert [r["name"] for r in replies] == [
                     member_name(i) for i in range(count)
@@ -254,6 +343,56 @@ def test_pipelined_burst_far_past_inflight_cap_loses_nothing():
                 assert all(r["state"] == "pending" for r in replies)
         assert len(service.pending()) == count
     finally:
+        service.close()
+
+
+def test_concurrent_clients_under_a_short_switch_interval():
+    """Four clients, twice the cores, pipeline partner pairs past a
+    2-reply cap while threads switch every microsecond.  Each must get
+    exactly its own replies, in order, and every record: a lost update
+    of a connection's queue or unsent-reply count would stall its
+    connection thread or starve its client."""
+    clients, size = 4, 70
+    service = _service()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Gateway(service, max_inflight=2) as gateway:
+            host, port = gateway.address
+            seen = {}
+
+            def drive(c):
+                names = [member_name(size * c + i) for i in range(size)]
+                with GatewayClient(host, port, timeout=DEADLINE) as client:
+                    rids = [
+                        client.request_nowait(
+                            "submit",
+                            query=wire.encode_query(
+                                partner_query(name, [names[i ^ 1]])
+                            ),
+                        )
+                        for i, name in enumerate(names)
+                    ]
+                    replies = [client.read_reply(rid)["name"] for rid in rids]
+                    records = [
+                        client.wait_resolved(name, DEADLINE)["state"]
+                        for name in names
+                    ]
+                seen[c] = (replies == names, records)
+
+            threads = [
+                threading.Thread(target=drive, args=(c,)) for c in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(3 * DEADLINE)
+            assert not any(thread.is_alive() for thread in threads)
+        assert seen == {
+            c: (True, ["satisfied"] * size) for c in range(clients)
+        }
+    finally:
+        sys.setswitchinterval(interval)
         service.close()
 
 

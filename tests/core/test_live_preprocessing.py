@@ -330,7 +330,6 @@ class CheckedEngine(CoordinationEngine):
             self.db,
             self._graph.restricted_to(component),
             choose=self.choose,
-            reuse_groundings=self.reuse_groundings,
             component_cache=cache,
         )
         self.checked.append((_summary(result), _summary(expected)))
@@ -395,7 +394,7 @@ def test_flights_evaluations_match_whole_component_snapshots():
     for seed in range(4):
         rng = random.Random(100 + seed)
         db = worst_case_database(num_flights=20, num_users=users)
-        engine = CheckedEngine(db, reuse_groundings=bool(seed % 2))
+        engine = CheckedEngine(db)
         events = []
         for _ in range(80):
             if rng.random() < 0.2:

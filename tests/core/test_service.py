@@ -370,13 +370,14 @@ class TestServiceConfig:
             grown.shards = 5  # frozen
 
     @pytest.mark.parametrize(
-        "option", ["backend", "placement", "reuse_groundings"]
+        "option", ["backend", "placement", "reuse_groundings", "check_safety"]
     )
     def test_removed_options_are_not_fields(self, option):
         # The shared store is the one in-process read path, cost scores
-        # the one placement policy, and grounding reuse an engine-level
-        # ablation only: naming any old option is an error, not a
-        # silently ignored setting.
+        # the one placement policy, grounding reuse an option of the
+        # offline scc_coordinate only, and every service checks safety:
+        # naming any old option is an error, not a silently ignored
+        # setting.
         with pytest.raises(TypeError, match=option):
             ServiceConfig(**{option: "replicated"})
         with pytest.raises(TypeError, match=option):

@@ -1,9 +1,18 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.db import DatabaseBuilder, save_database
+
+SRC_DIR = Path(repro.__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -368,3 +377,67 @@ class TestScenario:
         ) == 0
         replay = capsys.readouterr().out
         assert "pending" in replay
+
+
+class TestServe:
+    """``online --serve`` and ``client``, each a process of its own."""
+
+    ANN = "ann: {R(y, 'bob')} R(x, 'ann') :- Flights(x, 'Zurich')"
+    BOB = "bob: {R(y, 'ann')} R(x, 'bob') :- Flights(x, 'Zurich')"
+
+    @staticmethod
+    def _spawn(*args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+        )
+        # Line by line: a test reads a waiting client's first line
+        # before the client exits.
+        env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+
+    def _client(self, address, *args):
+        process = self._spawn("client", address, *args)
+        out, err = process.communicate(timeout=60)
+        assert process.returncode == 0, err
+        return out.splitlines()
+
+    def test_serve_client_round_trip_and_remote_shutdown(self, db_file):
+        server = self._spawn(
+            "online", db_file, "--serve", "127.0.0.1:0", "--allow-remote-shutdown"
+        )
+        waiter = None
+        try:
+            line = server.stdout.readline()
+            match = re.fullmatch(r"serving on ([\d.]+):(\d+)\n", line)
+            assert match, f"no bound address in {line!r}"
+            address = f"{match.group(1)}:{match.group(2)}"
+
+            # ann waits on her own connection; bob's arrival, on
+            # another, coordinates the pair and streams ann's record.
+            waiter = self._spawn("client", address, "submit", self.ANN, "--wait")
+            assert waiter.stdout.readline() == "ann: pending\n"
+            assert self._client(address, "submit", self.BOB, "--wait")[-1].startswith(
+                "bob: satisfied"
+            )
+            out, err = waiter.communicate(timeout=60)
+            assert waiter.returncode == 0, err
+            assert out == "ann: satisfied with {ann, bob}\n"
+
+            assert self._client(address, "status", "ann") == ["satisfied"]
+            assert "pending per shard: [0, 0]" in self._client(address, "stats")
+            assert self._client(address, "shutdown") == ["shutdown requested"]
+            out, err = server.communicate(timeout=60)
+            assert server.returncode == 0, err
+            assert out.splitlines() == ["gateway stopped"]
+        finally:
+            for process in (waiter, server):
+                if process is not None and process.poll() is None:
+                    process.kill()
+                    process.communicate()
