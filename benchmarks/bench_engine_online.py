@@ -38,7 +38,7 @@ from repro.core import (
     safety_report,
     scc_coordinate_on_graph,
 )
-from repro.core.coordination_graph import ExtendedEdge
+from repro.core.coordination_graph import AdjacencySnapshot, ExtendedEdge
 from repro.errors import PreconditionError
 from repro.graphs import DiGraph
 from repro.logic import Constant, unifiable
@@ -201,6 +201,19 @@ class SeedGraph:
         for edge in edges:
             graph.add_edge(edge.source, edge.target)
         return SeedGraph(queries, standardized, edges, graph)
+
+    def snapshot(self, names) -> AdjacencySnapshot:
+        """What the SCC pass reads of the subgraph ``names`` induces,
+        from a scan of every extended edge."""
+        queries = {n: self.queries[n] for n in names if n in self.queries}
+        succ: Dict[str, Set[str]] = {n: set() for n in queries}
+        targets = {n: [None] * len(q.postconditions) for n, q in queries.items()}
+        for edge in self.extended_edges:
+            if edge.source in queries and edge.target in queries:
+                succ[edge.source].add(edge.target)
+                if targets[edge.source][edge.post_index] is None:
+                    targets[edge.source][edge.post_index] = (edge.target, edge.head_index)
+        return AdjacencySnapshot(queries, succ, {n: tuple(t) for n, t in targets.items()})
 
     def survivors(self, names) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         """The pre-PR preprocessing fixpoint: a scan of every extended

@@ -6,8 +6,9 @@ pending-set size (100/300/1000):
 * **retract** — a single-query retraction is O(its weak component):
   the graph drops the query in place
   (:meth:`~repro.core.coordination_graph.CoordinationGraph.discard_queries`)
-  and the union–find re-splits from surviving edges
-  (:meth:`~repro.graphs.UnionFind.replace_component`).  Measured as
+  and the union–find installs the weak components a breadth-first
+  search finds among the survivors
+  (:meth:`~repro.graphs.UnionFind.split_component`).  Measured as
   steady-state retract+resubmit cycles against a pre-filled pending
   pool, so the pool size stays constant; per-operation latency is the
   cycle time halved (the resubmit is the already-benchmarked O(component)

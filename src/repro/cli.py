@@ -477,7 +477,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
             query = parse_query(" ".join(operands).rstrip(";"))
             reply = client.submit(query)
             print(f"{reply['name']}: {reply['state']}")
-            if args.wait and reply["state"] == "pending":
+            # The gateway streams the resolution record of every admitted
+            # handle, also one the submit itself already resolved.
+            if args.wait and reply["state"] != "rejected":
                 record = client.wait_resolved(reply["name"])
                 members = record.get("satisfied_with")
                 detail = (

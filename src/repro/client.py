@@ -23,11 +23,13 @@ surface:
   blocking thread per accepted connection; the gateway and the shard
   host each supply only what a connection does.
 
-Error surfacing is caller-configurable (the ``error`` parameter):
-the gateway client raises its protocol-level
+A closed stream surfaces as a caller-configurable error (the
+``error`` parameter): the gateway client raises its protocol-level
 :class:`~repro.core.gateway.GatewayError`, while the shard transport
 asks for :class:`EOFError` so a vanished peer funnels into the shard
-proxy's ordinary death handling (``except (EOFError, OSError)``).
+proxy's ordinary death handling (``except (EOFError, OSError)``).  A
+length prefix past :data:`MAX_FRAME` raises :class:`~repro.errors.WireError`,
+like a frame that does not decode, so a server answers it before closing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Dict, Optional, Tuple, Type
 
 from .concurrency import SHUTDOWN_GRACE, Deadline
 from .db import wire
-from .errors import PreconditionError, ReproError
+from .errors import PreconditionError, ReproError, WireError
 
 #: Hard bound on one frame's payload; a length prefix past this is a
 #: corrupt or hostile stream, not a big request.
@@ -161,7 +163,7 @@ class FramedEndpoint:
 
     def recv_frame(self) -> bytes:
         """Receive one length-prefixed frame's raw bytes."""
-        length = checked_length(self.recv_exact(4), self._error)
+        length = checked_length(self.recv_exact(4), WireError)
         return self.recv_exact(length)
 
     def send_message(self, message: dict) -> None:

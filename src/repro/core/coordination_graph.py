@@ -19,7 +19,7 @@ position holds two different constants, the paper's own test, and only
 pairs where an atom repeats a variable run the full unifier on the
 standardised atoms.  ``standardized`` is a view that standardises a
 query when it is first read; the online engine reads it only for the
-queries an evaluation snapshots (:meth:`CoordinationGraph.restricted_to`
+queries an evaluation snapshots (:meth:`CoordinationGraph.snapshot`
 standardises them up front), so a query that never reaches an
 evaluation is never standardised.
 
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..graphs import DiGraph
+from ..graphs import DiGraph, component_index, strongly_connected_components
 from ..logic import Atom, AtomPattern, unifiable
 from .query import EntangledQuery, check_distinct_names
 
@@ -238,6 +238,44 @@ class ArrivalProbe:
     def unsafe_queries(self) -> Tuple[str, ...]:
         """Names with at least one violated postcondition (first-seen order)."""
         return unsafe_query_names(self.violations)
+
+
+@dataclass(frozen=True)
+class AdjacencySnapshot:
+    """What the SCC pass reads of a set of queries
+    (:meth:`CoordinationGraph.snapshot`), restricted to the set: each
+    query, its collapsed successors, and per postcondition the target
+    and head index of its first extended edge (``None`` when it has
+    none).  Read-only; it reads as a :class:`~repro.graphs.DiGraph`."""
+
+    queries: Dict[str, EntangledQuery]
+    succ: Dict[str, Set[str]]
+    targets: Dict[str, Tuple[Optional[Tuple[str, int]], ...]]
+
+    def nodes(self) -> Tuple[str, ...]:
+        return tuple(self.queries)
+
+    def successors(self, name: str) -> Set[str]:
+        return self.succ[name]
+
+    def condense(self) -> Tuple[List[Tuple[str, ...]], List[List[int]], List[Tuple[str, ...]]]:
+        """The condensation the SCC pass walks, as three lists indexed by
+        component: the strong components in reverse topological order
+        (:func:`~repro.graphs.strongly_connected_components`), each one's
+        successor components in ascending order, and each one's sorted
+        reachable closure ``R(q)``, built from its successors' closures."""
+        components = strongly_connected_components(self)
+        index = component_index(components)
+        successors: List[List[int]] = []
+        reach: List[Set[str]] = []
+        for component, members in enumerate(components):
+            below = {index[t] for m in members for t in self.succ[m]} - {component}
+            closure = set(members)
+            for successor in below:
+                closure |= reach[successor]
+            successors.append(sorted(below))
+            reach.append(closure)
+        return components, successors, [tuple(sorted(c)) for c in reach]
 
 
 class _GraphCore:
@@ -823,10 +861,6 @@ class CoordinationGraph:
         """All extended edges emanating from one postcondition atom."""
         return list(self._view().out_by_post.get((query, post_index), ()))
 
-    def out_edges_of(self, query: str) -> Tuple[ExtendedEdge, ...]:
-        """Extended edges whose source is ``query`` (incident adjacency)."""
-        return tuple(self._view().out_edges.get(query, ()))
-
     def post_atom(self, edge: ExtendedEdge) -> Atom:
         """The (standardised) postcondition atom of an edge."""
         query = self._view().queries[edge.source]
@@ -845,19 +879,15 @@ class CoordinationGraph:
 
         Uses the per-node incident-edge adjacency, so the cost is
         O(kept queries + their incident edges), independent of the
-        total pending-set size — the engine calls it once per
-        evaluation on the :meth:`survivors` of one weakly connected
-        component.  Unknown names are ignored.  The result owns an
-        independent core.  Every kept query is standardized here, so an
-        evaluation that runs on the result — outside the engine lock —
-        only reads the memoized copies.
+        total pending-set size.  Unknown names are ignored.  The result
+        owns an independent core.  An evaluation reads a
+        :meth:`snapshot` instead, which copies only what the SCC pass
+        needs.
         """
         core = self._view()
         keep = [n for n in dict.fromkeys(names) if n in core.queries]
         keep_set = set(keep)
         queries = {n: core.queries[n] for n in keep}
-        for query in queries.values():
-            query.standardized()
         edges = [
             edge
             for n in keep
@@ -867,34 +897,67 @@ class CoordinationGraph:
         sub = _GraphCore.from_parts(queries, edges)
         return CoordinationGraph(sub, sub.version)
 
-    def live_survivors(
-        self, names: Sequence[str]
-    ) -> Tuple[Tuple[str, ...], int]:
-        """The members of ``names`` in the live preprocessing fixpoint.
+    def snapshot(self, names: Iterable[str]) -> AdjacencySnapshot:
+        """What the SCC pass reads of the subgraph ``names`` induces, in
+        one pass over their out-edges, with :meth:`restricted_to`'s node
+        order; unknown names are ignored.  Every kept query is
+        standardized here, so an evaluation that runs on the snapshot —
+        outside the engine lock — only reads the memoized copies."""
+        core = self._view()
+        queries = {n: core.queries[n] for n in names if n in core.queries}
+        successors: Dict[str, Set[str]] = {}
+        targets: Dict[str, Tuple[Optional[Tuple[str, int]], ...]] = {}
+        for name, query in queries.items():
+            query.standardized()
+            successors[name] = succ = set()
+            first: List[Optional[Tuple[str, int]]] = [None] * len(query.postconditions)
+            for edge in core.out_edges.get(name, ()):
+                target = edge.target
+                if target in queries:
+                    succ.add(target)
+                    if first[edge.post_index] is None:
+                        first[edge.post_index] = (target, edge.head_index)
+            targets[name] = tuple(first)
+        return AdjacencySnapshot(queries, successors, targets)
 
-        Returns ``(alive, edges)``: the members the fixpoint keeps, in
-        the order of ``names``, and the number of collapsed edges whose
-        source is in ``names``.  The fixpoint is that of the whole
-        graph, kept up to date by every arrival and deletion (see the
-        module docstring), so this is one pass over ``names`` with no
-        edge walked.  When ``names`` is closed under edges — a union of
-        weak components, which is what the online engine asks about —
-        ``alive`` equals ``survivors(names)[0]`` and ``edges`` is the
-        edge count of the subgraph ``names`` induces.  The first call
-        on a core builds the fixpoint in O(graph + edges).  Unknown
-        names are ignored.
+    def live_survivors(self, names: Sequence[str]) -> Tuple[str, ...]:
+        """The members of ``names`` in the live preprocessing fixpoint,
+        in the order of ``names``.
+
+        The fixpoint is that of the whole graph, kept up to date by
+        every arrival and deletion (see the module docstring), so this
+        is one pass over ``names`` with no edge walked.  When ``names``
+        is closed under edges — a union of weak components, which is
+        what the online engine asks about — the result equals
+        ``survivors(names)[0]``.  The first call on a core builds the
+        fixpoint in O(graph + edges).  Unknown names are ignored.
         """
         core = self._view()
         core.ensure_fixpoint()
         live = core.alive
-        out_degree = core.digraph.out_degree
-        alive: List[str] = []
-        edges = 0
-        for name in names:
-            if name in live:
-                alive.append(name)
-            edges += out_degree(name)
-        return tuple(alive), edges
+        return tuple(name for name in names if name in live)
+
+    def weak_components(self, names: Iterable[str]) -> List[Tuple[List[str], int]]:
+        """Split ``names``, which must be closed under edges, into weak
+        components with their collapsed-edge counts: one breadth-first
+        search over collapsed successors and predecessors, O(names + edges)."""
+        digraph = self._view().digraph
+        seen: Set[str] = set()
+        groups: List[Tuple[List[str], int]] = []
+        for start in names:
+            if start in seen:
+                continue
+            seen.add(start)
+            members, edges = [start], 0
+            for name in members:  # grows while the search runs
+                targets = digraph.successors(name)
+                edges += len(targets)
+                for neighbour in targets | digraph.predecessors(name):
+                    if neighbour not in seen:
+                        seen.add(neighbour)
+                        members.append(neighbour)
+            groups.append((members, edges))
+        return groups
 
     def survivors(
         self, names: Iterable[str]

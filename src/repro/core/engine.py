@@ -20,7 +20,7 @@ processing) — wrapped in a first-class query-*lifecycle* API:
   component) — the graph side via
   :meth:`~repro.core.coordination_graph.CoordinationGraph.discard_queries`,
   the component side via
-  :meth:`~repro.graphs.UnionFind.replace_component`;
+  :meth:`~repro.graphs.UnionFind.split_component`;
 * :meth:`submit_many` admits a batch under one safety pass and runs
   **one** evaluation per affected weak component (unsafe batch members
   resolve to ``REJECTED`` instead of raising);
@@ -41,15 +41,17 @@ pending-set size:
   leaves no state to roll back;
 * the newcomer's weak component comes from a
   :class:`~repro.graphs.UnionFind` over pending queries (amortized
-  O(α) per new edge) instead of a BFS over the whole graph;
+  O(α) per new edge) instead of a BFS over the whole graph, and the
+  union–find carries each component's collapsed-edge count, so no
+  member is walked to count edges;
 * the preprocessing fixpoint (drop every query with a postcondition no
   remaining head satisfies) is kept *live* in the graph: an arrival
   re-runs it only over itself and the removed queries that reach it,
   a deletion cascades decrements
   (:meth:`~repro.core.coordination_graph.CoordinationGraph.live_survivors`);
   the evaluation's plan phase reads it in one pass over the component
-  and snapshots only the survivors, so the copy and the SCC pass cost
-  O(survivors), not O(component);
+  and copies only the survivors' adjacency (no graph is built), so the
+  copy and the SCC pass cost O(survivors), not O(component);
 * a component with no survivors is *settled*: its outcome — what the
   SCC algorithm returns on an empty snapshot, with the whole
   component's counters — is recorded without a run phase, and
@@ -82,7 +84,8 @@ pending-set size:
 * a satisfied coordinating set (or a retracted query) is deleted in
   O(its component) via
   :meth:`~repro.core.coordination_graph.CoordinationGraph.discard_queries`,
-  and its weak component is re-split from the surviving incident edges.
+  and its weak component is re-split by one breadth-first search over
+  the survivors' collapsed edges.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ from ..concurrency import OwnedLock
 from ..db import CoordinationStats, Database
 from ..errors import ConcurrencyError, PreconditionError
 from ..graphs import UnionFind
-from .coordination_graph import ArrivalProbe, CoordinationGraph
+from .coordination_graph import AdjacencySnapshot, ArrivalProbe, CoordinationGraph
 from .lifecycle import (
     QueryHandle,
     QueryState,
@@ -185,6 +188,10 @@ class _StateCache(dict):
 
     def _setitem_locked(self, key, value) -> None:
         old = self.get(key)
+        if old is not None and old[2] is value[2]:
+            # A hit re-stored over content-equal queries: same indexes.
+            super().__setitem__(key, value)
+            return
         if old is not None:
             self._unindex(key, old[0])
         super().__setitem__(key, value)
@@ -253,17 +260,16 @@ class _EvaluationPlan:
     unlocked run phase.
 
     ``component`` is the whole weak component (outcomes, retirement and
-    the freeze rule are about it); ``survivors`` is the independently
-    cored subgraph induced on the members of the live preprocessing
-    fixpoint — never empty, because a component without survivors is
-    settled in the plan phase and gets no plan.  ``edges`` (collapsed
-    edges of the whole component) and ``removed`` (queries the fixpoint
-    dropped) complete the counters the run reports.  ``cache`` is the
-    stamp-checked state cache.
+    the freeze rule are about it); ``survivors`` is the adjacency of the
+    members of the live preprocessing fixpoint — never empty, because a
+    component without survivors is settled in the plan phase and gets
+    no plan.  ``edges`` (collapsed edges of the whole component) and
+    ``removed`` (queries the fixpoint dropped) complete the counters the
+    run reports.  ``cache`` is the stamp-checked state cache.
     """
 
     component: Tuple[str, ...]
-    survivors: "CoordinationGraph"
+    survivors: AdjacencySnapshot
     edges: int
     removed: int
     cache: Optional[ComponentCache]
@@ -538,20 +544,16 @@ class CoordinationEngine:
         """
         self._guard()
         names = self._graph.names()
-        alive, edges = self._graph.live_survivors(names)
+        alive = self._graph.live_survivors(names)
         stats = CoordinationStats(
             graph_nodes=len(names),
-            graph_edges=edges,
+            graph_edges=self._graph.graph.edge_count(),
             preprocessing_removed=len(names) - len(alive),
         )
-        graph = self._graph
-        if len(alive) != len(names):
-            graph = graph.restricted_to(alive)
         result = scc_coordinate_on_graph(
             self.db,
-            graph,
+            self._graph.snapshot(alive),
             choose=self.choose,
-            run_preprocessing=False,
             component_cache=self._component_cache(),
             stats=stats,
         )
@@ -636,13 +638,13 @@ class CoordinationEngine:
            live preprocessing fixpoint
            (:meth:`~repro.core.coordination_graph.CoordinationGraph.live_survivors`,
            one pass over the component), settle a component with no
-           survivors on the spot, and for the others snapshot only the
-           survivors' induced subgraph
-           (:meth:`~repro.core.coordination_graph.CoordinationGraph.restricted_to`
-           returns an independent core) and stamp-check the state cache;
-        2. **run** (unlocked): the SCC algorithm over the survivors'
-           snapshots, without preprocessing them again — database reads
-           go through the database's reader–writer lock, cache writes
+           survivors on the spot, and for the others copy only the
+           survivors' adjacency
+           (:meth:`~repro.core.coordination_graph.CoordinationGraph.snapshot`)
+           and stamp-check the state cache;
+        2. **run** (unlocked): the SCC algorithm condenses each
+           snapshot (no second preprocessing); database reads go
+           through the database's reader–writer lock, cache writes
            through the cache's internal mutex;
         3. **commit** (locked): record outcomes and retire chosen sets.
 
@@ -721,9 +723,12 @@ class CoordinationEngine:
             )
         self._graph = self._graph.with_arrival(probe)
         self._pending[query.name] = query
-        self._components.add(query.name)
-        for edge in probe.new_edges:
-            self._components.union(edge.source, edge.target)
+        # Every new edge touches the newcomer, so each distinct pair is
+        # a collapsed edge no component had; the unions sum the counts.
+        pairs = {edge.endpoints() for edge in probe.new_edges}
+        self._components.add(query.name, len(pairs))
+        for source, target in pairs:
+            self._components.union(source, target)
         if handle is None:
             handle = QueryHandle(query)
         self._handles[query.name] = handle
@@ -741,11 +746,12 @@ class CoordinationEngine:
         candidates, the whole component's counters — and returns
         ``None``.  It reads no database, so a later write cannot change
         it.  Otherwise returns ``(component, survivors, edges)`` for
-        the plan.  One pass over the members; no edge is walked."""
-        component = tuple(sorted(self._components.members(admitted[0].query)))
-        # A weak component is closed under edges, so ``edges`` is its
-        # collapsed edge count.
-        alive, edges = self._graph.live_survivors(component)
+        the plan.  One pass over the members; no edge is walked: the
+        union–find carries the component's collapsed-edge count."""
+        name = admitted[0].query
+        component = tuple(sorted(self._components.members(name)))
+        edges = self._components.edge_count(name)
+        alive = self._graph.live_survivors(component)
         if alive:
             return component, alive, edges
         result = CoordinationResult(
@@ -761,17 +767,16 @@ class CoordinationEngine:
 
         Settles a component with no preprocessing survivors (no plan,
         ``None``); otherwise snapshots everything the unlocked run
-        needs: the component's member list, the survivors' induced
-        subgraph (an independent core — later mutations of the live
-        graph cannot reach it), the component's counters, and the
-        stamp-checked state cache."""
+        needs: the component's member list, a copy of the survivors'
+        adjacency (later mutations of the live graph cannot reach it),
+        the component's counters, and the stamp-checked state cache."""
         settled = self._settle(admitted)
         if settled is None:
             return None
         component, alive, edges = settled
         return _EvaluationPlan(
             component,
-            self._graph.restricted_to(alive),
+            self._graph.snapshot(alive),
             edges,
             len(component) - len(alive),
             self._component_cache(),
@@ -791,7 +796,6 @@ class CoordinationEngine:
             self.db,
             plan.survivors,
             choose=self.choose,
-            run_preprocessing=False,
             component_cache=plan.cache,
             stats=stats,
         )
@@ -844,17 +848,13 @@ class CoordinationEngine:
             self._handles.pop(name, None)
         self._graph.discard_queries(tuple(removed))
         # The removed set lives entirely inside one weak component;
-        # union-find cannot split, so drop the component and re-link
-        # the survivors from their (surviving) incident edges.
+        # union-find cannot split, so the component is replaced by the
+        # weak components its survivors form in the graph.
         if component:
-            survivors = [n for n in component if n not in removed]
-            self._components.replace_component(
+            self._components.split_component(
                 component[0],
-                survivors,
-                (
-                    edge.endpoints()
-                    for name in survivors
-                    for edge in self._graph.out_edges_of(name)
+                self._graph.weak_components(
+                    n for n in component if n not in removed
                 ),
             )
         self._forget_states(removed)

@@ -165,13 +165,11 @@ class _Connection:
                 if not self.open:
                     return
             try:
-                frame = self.endpoint.recv_frame()
-            except (GatewayError, OSError):
-                return
-            try:
-                message = wire.loads(frame)
+                message = wire.loads(self.endpoint.recv_frame())
                 if not isinstance(message, dict):
                     raise WireError("a request frame must carry one object")
+            except (GatewayError, OSError):
+                return  # the client closed the connection
             except ReproError as error:
                 self.push(_error_reply(None, "protocol", str(error)), reply=True)
                 return

@@ -17,7 +17,7 @@ coordination layers do before unifying atoms across queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..db import Schema
 from ..errors import MalformedQueryError
@@ -72,12 +72,17 @@ class EntangledQuery:
         return frozenset(a.relation for a in self.body)
 
     def variables(self) -> FrozenSet[Variable]:
-        """All distinct variables across all three parts."""
-        return (
-            atoms_variables(self.postconditions)
-            | atoms_variables(self.head)
-            | atoms_variables(self.body)
-        )
+        """All distinct variables across all three parts.  Memoized: an
+        evaluation reads it per closure query three times."""
+        variables = self.__dict__.get("_variables")
+        if variables is None:
+            variables = (
+                atoms_variables(self.postconditions)
+                | atoms_variables(self.head)
+                | atoms_variables(self.body)
+            )
+            object.__setattr__(self, "_variables", variables)
+        return variables
 
     def free_variables(self) -> FrozenSet[Variable]:
         """Variables of the head/postconditions that never hit the body.
@@ -188,11 +193,13 @@ class EntangledQuery:
         return edges
 
     def _renamed(self, namespace: str) -> "EntangledQuery":
+        # One copy per distinct variable, shared by every atom using it.
+        renamed: Dict[Variable, Variable] = {}
         return EntangledQuery(
             self.name,
-            tuple(a.rename(namespace) for a in self.postconditions),
-            tuple(a.rename(namespace) for a in self.head),
-            tuple(a.rename(namespace) for a in self.body),
+            tuple(a.rename(namespace, renamed) for a in self.postconditions),
+            tuple(a.rename(namespace, renamed) for a in self.head),
+            tuple(a.rename(namespace, renamed) for a in self.body),
         )
 
     # ------------------------------------------------------------------

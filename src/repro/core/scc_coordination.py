@@ -23,21 +23,24 @@ size coordinating set among ``{R(q) | q ∈ Q}``.  Finding the overall
 maximum is NP-hard (Theorem 2), so this is the strongest tractable
 guarantee available.
 
-Cost model: at most one database query per component (≤ ``|Q|``), one
-unification per extended edge, and quadratic graph bookkeeping —
-asserted by tests via :class:`~repro.db.CoordinationStats`.
+Cost model: at most one database query per component (≤ ``|Q|``) and
+one unification per postcondition, asserted by tests via
+:class:`~repro.db.CoordinationStats`.  The pass reads an adjacency
+snapshot, not a graph: Tarjan's algorithm condenses it in O(queries +
+collapsed edges), and each closure ``R(q)`` is the union of its
+successors' closures — quadratic only where closures are (a chain).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..db import ConjunctiveQuery, CoordinationStats, Database
 from ..errors import PreconditionError
-from ..graphs import condensation
 from ..logic import Atom, Substitution, Variable, apply_substitution_all
-from .coordination_graph import CoordinationGraph
+from .coordination_graph import AdjacencySnapshot, CoordinationGraph
 from .properties import safety_report
 from .query import EntangledQuery
 from .result import CoordinatingSet, CoordinationResult
@@ -229,7 +232,7 @@ def scc_coordinate(
 
 def scc_coordinate_on_graph(
     db: Database,
-    graph: CoordinationGraph,
+    graph: CoordinationGraph | AdjacencySnapshot,
     choose: SelectionCriterion = largest_candidate,
     run_preprocessing: bool = True,
     trace: Optional[Trace] = None,
@@ -240,14 +243,17 @@ def scc_coordinate_on_graph(
     """The algorithm proper, on an already-built coordination graph.
 
     Split out so the benchmark for Figure 6 can time graph construction
-    and preprocessing separately from evaluation.
+    and preprocessing separately from evaluation.  The pass reads an
+    :class:`~repro.core.coordination_graph.AdjacencySnapshot`: a graph
+    is preprocessed (unless ``run_preprocessing`` is off) and its
+    survivors snapshotted first, while a snapshot is taken to be
+    preprocessed already — the online engine snapshots the survivors of
+    its live fixpoint under its lock and runs the pass on that.
 
     ``stats`` (optional) are counters to continue instead of fresh ones
     sized from ``graph``.  A caller that preprocessed a larger graph
-    itself — the online engine reads the live fixpoint of its graph and
-    passes only the survivors' snapshot — hands in that graph's
-    ``graph_nodes``, ``graph_edges`` and ``preprocessing_removed`` with
-    ``run_preprocessing=False``, so the result reports the same counters
+    itself hands in that graph's ``graph_nodes``, ``graph_edges`` and
+    ``preprocessing_removed``, so the result reports the same counters
     as a run on the larger graph.
 
     ``component_cache`` (optional) memoizes per-SCC states *across*
@@ -261,51 +267,53 @@ def scc_coordinate_on_graph(
     queries (on an unsafe graph, every entry that reached one).  Results
     are identical to an uncached run on the same graph and database.
     """
-    if stats is None:
-        stats = CoordinationStats(
-            graph_nodes=graph.graph.node_count(),
-            graph_edges=graph.graph.edge_count(),
-        )
-    if run_preprocessing:
-        pre = preprocess(graph)
-        graph = pre.graph
-        stats.preprocessing_removed += len(pre.removed)
-        if trace is not None:
-            trace.add(PreprocessingRemoved(pre.removed))
-    if not graph.queries:
+    snapshot = graph
+    if not isinstance(graph, AdjacencySnapshot):
+        names = graph.names()
+        if stats is None:
+            stats = CoordinationStats(graph_nodes=len(names), graph_edges=graph.graph.edge_count())
+        if run_preprocessing:
+            names, removed = graph.survivors(names)
+            stats.preprocessing_removed += len(removed)
+            if trace is not None:
+                trace.add(PreprocessingRemoved(removed))
+        snapshot = graph.snapshot(names)
+    elif stats is None:
+        edges = sum(map(len, snapshot.succ.values()))
+        stats = CoordinationStats(graph_nodes=len(snapshot.queries), graph_edges=edges)
+    queries = snapshot.queries
+    if not queries:
         return CoordinationResult(None, [], stats)
 
-    cond = condensation(graph.graph)
-    stats.scc_count = cond.component_count
+    components, successor_lists, closures = snapshot.condense()
+    stats.scc_count = len(components)
 
-    states: List[_ComponentState] = [
-        _ComponentState() for _ in range(cond.component_count)
-    ]
+    states: List[_ComponentState] = [_ComponentState() for _ in components]
     candidates: List[CoordinatingSet] = []
-    queries = graph.queries
 
-    for component in cond.reverse_topological_order():
+    for component, members in enumerate(components):
         state = states[component]
-        members = cond.members(component)
-        successors = sorted(cond.dag.successors(component))
+        successors = successor_lists[component]
         if any(states[s].failed for s in successors):
             state.failed = True
             if trace is not None:
                 trace.add(
-                    ComponentProcessed(
-                        component, tuple(members), (), "successor-failed"
-                    )
+                    ComponentProcessed(component, members, (), "successor-failed")
                 )
             continue
 
-        involved = tuple(sorted(cond.reachable_nodes(component), key=str))
+        involved = closures[component]
         cache_key: Optional[ComponentKey] = None
         if component_cache is not None:
             cache_key = frozenset(members)
-            closure = tuple(queries[name] for name in involved)
+            closure = tuple(map(queries.__getitem__, involved))
             entry = component_cache.get(cache_key)
             if entry is not None and _same_closure(entry, involved, closure):
                 cached = entry[2]
+                if not all(map(is_, entry[1], closure)):
+                    # Equal content in other objects: store the current
+                    # ones, so the next hit compares by identity.
+                    component_cache[cache_key] = (involved, closure, cached)
                 states[component] = cached
                 stats.extra["component_cache_hits"] = (
                     stats.extra.get("component_cache_hits", 0) + 1
@@ -317,18 +325,14 @@ def scc_coordinate_on_graph(
                     if trace is not None:
                         trace.add(
                             ComponentProcessed(
-                                component,
-                                tuple(members),
-                                cached.involved,
-                                "cached:ok",
-                                0,
+                                component, members, cached.involved, "cached:ok", 0
                             )
                         )
                 elif cached.failed and trace is not None:
                     trace.add(
                         ComponentProcessed(
                             component,
-                            tuple(members),
+                            members,
                             (),
                             f"cached:{cached.status or 'db-failed'}",
                         )
@@ -357,16 +361,13 @@ def scc_coordinate_on_graph(
         # extended edge to a head inside R(component).
         unified = True
         for name in members:
-            query = graph.standardized[name]
-            for pi in range(len(query.postconditions)):
-                edges = graph.edges_from_postcondition(name, pi)
-                if not edges:
+            posts = queries[name].standardized().postconditions
+            for post, target in zip(posts, snapshot.targets[name]):
+                if target is None:
                     unified = False
                     break
-                edge = edges[0]
                 stats.unifications += 1
-                post = graph.post_atom(edge)
-                head = graph.head_atom(edge)
+                head = queries[target[0]].standardized().head[target[1]]
                 for pt, ht in zip(post.terms, head.terms):
                     if not substitution.unify_terms(pt, ht):
                         stats.unification_failures += 1
@@ -383,9 +384,7 @@ def scc_coordinate_on_graph(
                 component_cache[cache_key] = (involved, closure, state)
             if trace is not None:
                 trace.add(
-                    ComponentProcessed(
-                        component, tuple(members), (), "unification-failed"
-                    )
+                    ComponentProcessed(component, members, (), "unification-failed")
                 )
             continue
 
@@ -395,7 +394,7 @@ def scc_coordinate_on_graph(
         if reuse_groundings and successors:
             assignment, domain_filled = _seeded_assignment(
                 db,
-                graph,
+                queries,
                 members,
                 involved,
                 substitution,
@@ -405,7 +404,7 @@ def scc_coordinate_on_graph(
         if assignment is None:
             combined_body: List[Atom] = []
             for name in involved:
-                combined_body.extend(graph.standardized[name].body)
+                combined_body.extend(queries[name].standardized().body)
             rewritten = apply_substitution_all(combined_body, substitution)
             stats.db_queries += 1
             solution = db.first_solution(ConjunctiveQuery(tuple(rewritten)))
@@ -417,12 +416,12 @@ def scc_coordinate_on_graph(
                 if trace is not None:
                     trace.add(
                         ComponentProcessed(
-                            component, tuple(members), involved, "db-failed", 1
+                            component, members, involved, "db-failed", 1
                         )
                     )
                 continue
             assignment, domain_filled = _assignment_for(
-                db, graph, involved, substitution, solution
+                db, queries, involved, substitution, solution
             )
 
         state.substitution = substitution
@@ -436,9 +435,7 @@ def scc_coordinate_on_graph(
             candidates.append(CoordinatingSet(involved, assignment))
             if trace is not None:
                 trace.add(
-                    ComponentProcessed(
-                        component, tuple(members), involved, "ok", 1
-                    )
+                    ComponentProcessed(component, members, involved, "ok", 1)
                 )
 
     stats.candidate_sets = len(candidates)
@@ -458,7 +455,7 @@ def scc_coordinate_on_graph(
 
 def _seeded_assignment(
     db: Database,
-    graph: CoordinationGraph,
+    queries: Dict[str, EntangledQuery],
     members: Sequence[str],
     involved: Tuple[str, ...],
     substitution: Substitution,
@@ -499,7 +496,7 @@ def _seeded_assignment(
 
     member_atoms: List[Atom] = []
     for name in members:
-        member_atoms.extend(graph.standardized[name].body)
+        member_atoms.extend(queries[name].standardized().body)
     rewritten = apply_substitution_all(member_atoms, substitution)
     stats.db_queries += 1
     stats.extra["seeded_queries"] = stats.extra.get("seeded_queries", 0) + 1
@@ -509,7 +506,7 @@ def _seeded_assignment(
 
     partial: Dict[Variable, Hashable] = dict(seed)
     for name in members:
-        for variable in graph.standardized[name].variables():
+        for variable in queries[name].standardized().variables():
             representative = substitution.resolve(variable)
             if isinstance(representative, Variable):
                 if representative in solution:
@@ -517,13 +514,13 @@ def _seeded_assignment(
             else:
                 partial[variable] = representative.value
     domain_filled = any(s.domain_filled for s in successor_states) or _has_gaps(
-        graph, involved, partial
+        queries, involved, partial
     )
-    return complete_assignment(db, graph.queries, involved, partial), domain_filled
+    return complete_assignment(db, queries, involved, partial), domain_filled
 
 
 def _has_gaps(
-    graph: CoordinationGraph,
+    queries: Dict[str, EntangledQuery],
     involved: Tuple[str, ...],
     partial: Dict[Variable, Hashable],
 ) -> bool:
@@ -531,13 +528,13 @@ def _has_gaps(
     return any(
         variable not in partial
         for name in involved
-        for variable in graph.standardized[name].variables()
+        for variable in queries[name].standardized().variables()
     )
 
 
 def _assignment_for(
     db: Database,
-    graph: CoordinationGraph,
+    queries: Dict[str, EntangledQuery],
     involved: Tuple[str, ...],
     substitution: Substitution,
     solution: Dict[Variable, Hashable],
@@ -546,12 +543,12 @@ def _assignment_for(
     plus whether the domain filler had to complete it."""
     partial: Dict[Variable, Hashable] = {}
     for name in involved:
-        for variable in graph.standardized[name].variables():
+        for variable in queries[name].standardized().variables():
             representative = substitution.resolve(variable)
             if isinstance(representative, Variable):
                 if representative in solution:
                     partial[variable] = solution[representative]
             else:
                 partial[variable] = representative.value
-    domain_filled = _has_gaps(graph, involved, partial)
-    return complete_assignment(db, graph.queries, involved, partial), domain_filled
+    domain_filled = _has_gaps(queries, involved, partial)
+    return complete_assignment(db, queries, involved, partial), domain_filled

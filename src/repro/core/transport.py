@@ -296,20 +296,19 @@ def serve_lane(
     Each frame is decoded, handled and answered before the next is
     read: the request/reply discipline every lane requires.  A main
     lane ends after answering ``stop``.  A frame that does not decode
-    to a command (a foreign wire version, corruption) is answered with
+    to a command (a foreign wire version, corruption, a length prefix
+    past :data:`~repro.client.MAX_FRAME`) is answered with
     :func:`error_reply` and ends the lane, because the stream can no
     longer be trusted; the peer learns why.  The caller closes
     ``endpoint``.
     """
     while True:
         try:
-            frame = endpoint.recv_frame()
-        except (EOFError, OSError):
-            return
-        try:
-            message = wire.loads(frame)
+            message = wire.loads(endpoint.recv_frame())
             if not isinstance(message, dict):
                 raise WireError("a lane frame must carry one command object")
+        except (EOFError, OSError):
+            return
         except ReproError as error:
             send_reply(endpoint, error_reply(error))
             return

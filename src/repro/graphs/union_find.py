@@ -14,17 +14,19 @@ O(n log n) total over any union sequence) and supports
 O(component).  That is the deletion granularity the engine needs: a
 satisfied coordinating set (a downward-closed subset of one weak
 component — usually not the whole component) is deleted by discarding
-the component and re-linking the *surviving* members from their
-surviving incident edges, still O(component) total.  That discard +
-re-split idiom is packaged as :meth:`replace_component`, which is also
-how arbitrary single-element deletion (query retraction) works: the
-forest cannot split a component, but the caller owns the surviving
-edge set and can re-derive connectivity from it in O(component).
+the component and installing the groups the *surviving* members fall
+into, still O(component) total.  That discard + re-split idiom is
+packaged as :meth:`split_component`, which is also how arbitrary
+single-element deletion (query retraction) works: the forest cannot
+split a component, but the caller owns the surviving edge set and
+re-derives connectivity from it in O(component).
+Every component carries the caller's count of its edges: set by
+:meth:`add`, summed by a union, installed per group on a split.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 Element = Hashable
 
@@ -34,26 +36,28 @@ class UnionFind:
 
     Union by size with iterative path compression; every root carries
     the list of its component's members so :meth:`members` is O(size of
-    the answer), not O(n).
+    the answer), not O(n), and its component's edge count.
     """
 
-    __slots__ = ("_parent", "_size", "_members")
+    __slots__ = ("_parent", "_size", "_members", "_edges")
 
     def __init__(self) -> None:
         self._parent: Dict[Element, Element] = {}
         self._size: Dict[Element, int] = {}
         self._members: Dict[Element, List[Element]] = {}
+        self._edges: Dict[Element, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add(self, element: Element) -> bool:
-        """Add a singleton component; returns ``False`` if known."""
+    def add(self, element: Element, edges: int = 0) -> bool:
+        """Add a singleton counting ``edges`` edges; ``False`` if known."""
         if element in self._parent:
             return False
         self._parent[element] = element
         self._size[element] = 1
         self._members[element] = [element]
+        self._edges[element] = edges
         return True
 
     def union(self, a: Element, b: Element) -> Element:
@@ -72,6 +76,7 @@ class UnionFind:
         self._parent[rb] = ra
         self._size[ra] += self._size.pop(rb)
         self._members[ra].extend(self._members.pop(rb))
+        self._edges[ra] += self._edges.pop(rb)
         return ra
 
     # ------------------------------------------------------------------
@@ -101,6 +106,10 @@ class UnionFind:
         """Size of ``element``'s component."""
         return self._size[self.find(element)]
 
+    def edge_count(self, element: Element) -> int:
+        """The edges counted inside ``element``'s component."""
+        return self._edges[self.find(element)]
+
     def components(self) -> Iterator[Tuple[Element, ...]]:
         """Iterate over all components as member tuples."""
         for members in self._members.values():
@@ -122,31 +131,26 @@ class UnionFind:
         root = self.find(element)
         dropped = self._members.pop(root)
         del self._size[root]
+        del self._edges[root]
         for member in dropped:
             del self._parent[member]
         return tuple(dropped)
 
-    def replace_component(
-        self,
-        element: Element,
-        survivors: Iterable[Element],
-        links: Iterable[Tuple[Element, Element]],
+    def split_component(
+        self, element: Element, groups: Iterable[Tuple[Sequence[Element], int]]
     ) -> None:
-        """Delete ``element``'s component, keep ``survivors``, re-split.
-
-        The component is discarded wholesale, the survivors re-enter as
-        singletons, and connectivity among them is rebuilt from
-        ``links`` — the (source, target) endpoint pairs of the edges
-        that *survive* the deletion, which the caller reads off its own
-        edge structure.  O(component + links): this is how both
-        satisfied-set removal and single-query retraction split a weak
-        component without touching the rest of the forest.
-        """
+        """Replace ``element``'s component by ``(members, edges)`` groups,
+        the components its survivors form, which the caller reads off its
+        own edge structure.  O(component): how both satisfied-set removal
+        and single-query retraction split a weak component."""
         self.discard_component(element)
-        for survivor in survivors:
-            self.add(survivor)
-        for a, b in links:
-            self.union(a, b)
+        for members, edges in groups:
+            root = members[0]
+            for member in members:
+                self._parent[member] = root
+            self._size[root] = len(members)
+            self._members[root] = list(members)
+            self._edges[root] = edges
 
     def __contains__(self, element: Element) -> bool:
         return element in self._parent

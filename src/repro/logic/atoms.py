@@ -9,7 +9,7 @@ all three; the distinction lives in the query and schema layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import LogicError
 from .terms import Constant, Term, Variable, as_term
@@ -62,22 +62,29 @@ class Atom:
         """Return ``True`` if the atom contains no variables."""
         return all(isinstance(t, Constant) for t in self.terms)
 
-    def rename(self, namespace: str) -> "Atom":
+    def rename(
+        self, namespace: str, renamed: Optional[Dict[Variable, Variable]] = None
+    ) -> "Atom":
         """Move every variable of the atom into ``namespace``.
 
         Used to standardise queries apart before unification; constants
         are untouched.  The terms are already terms, so the copy skips
-        the constructor's coercion.
+        the constructor's coercion.  Atoms renamed through one
+        ``renamed`` dict (variable → its copy) share each variable's copy.
         """
-        renamed = object.__new__(Atom)
-        renamed._set(
+        if renamed is None:
+            renamed = {}
+        atom = object.__new__(Atom)
+        atom._set(
             self.relation,
             tuple(
-                t.qualified(namespace) if isinstance(t, Variable) else t
+                (renamed.get(t) or renamed.setdefault(t, t.qualified(namespace)))
+                if isinstance(t, Variable)
+                else t
                 for t in self.terms
             ),
         )
-        return renamed
+        return atom
 
     def ground(self, assignment: Mapping[Variable, Hashable]) -> "GroundAtom":
         """Ground the atom under a total variable assignment.

@@ -30,6 +30,8 @@ from repro.core import (
     safety_report,
     scc_coordinate_on_graph,
 )
+from repro.core.engine import _StateCache
+from repro.core.scc_coordination import _ComponentState
 from repro.db import wire
 from repro.errors import PreconditionError
 from repro.logic import Atom, Variable
@@ -521,6 +523,26 @@ def test_unrelated_insert_keeps_component_cache(reuse_states):
     result = engine.flush()
     assert result.chosen is not None
     assert len(result.chosen.members) == 3
+
+
+def test_state_cache_reindexes_a_new_state_but_not_a_refreshed_hit():
+    """A state stored over an entry is indexed by its own closure; a hit
+    the SCC pass re-stores over content-equal queries keeps its indexes."""
+
+    def query(name, relation):
+        return EntangledQuery(name, [], [Atom("H", [name])], [Atom(relation, [Variable("x")])])
+
+    cache = _StateCache()
+    key = frozenset({"a"})
+    cache[key] = (("a",), (query("a", "A"),), _ComponentState(failed=True))
+    closure = (query("a", "A"), query("b", "B"))
+    state = _ComponentState(failed=True)
+    cache[key] = (("a", "b"), closure, state)
+    assert cache.keys_touching({"b"}) == cache.keys_touching_relations({"B"}) == {key}
+    fresh = (query("a", "A"), query("b", "B"))  # equal content, other objects
+    cache[key] = (("a", "b"), fresh, state)
+    assert cache[key][1] is fresh
+    assert cache.keys_touching({"b"}) == cache.keys_touching_relations({"B"}) == {key}
 
 
 def test_state_cache_cap_holds_across_unrelated_writes(monkeypatch):

@@ -28,6 +28,8 @@ as one ``ExceptionGroup`` — never silently on some later call.
 """
 
 import os
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -48,8 +50,9 @@ from repro.core import (
     ServiceConfig,
     ShardedCoordinationService,
 )
-from repro.client import checked_length
+from repro.client import FramedEndpoint, checked_length
 from repro.core.gateway import pack_frame
+from repro.core.transport import serve_lane
 from repro.db import wire
 from repro.errors import PreconditionError
 from repro.logic import Atom, Variable
@@ -144,8 +147,6 @@ def test_query_frames_round_trip(name, post, head, body):
 
 
 def test_oversized_length_prefix_rejected():
-    import struct
-
     with pytest.raises(GatewayError):
         checked_length(struct.pack(">I", 33 * 1024 * 1024), GatewayError)
 
@@ -205,6 +206,43 @@ def test_a_frame_that_is_not_a_request_object_is_a_protocol_error():
             _wait_connections(gateway, 0)
     finally:
         service.close()
+
+
+def test_an_oversized_length_prefix_is_a_protocol_error():
+    service = _service()
+    try:
+        with Gateway(service) as gateway:
+            host, port = gateway.address
+            with GatewayClient(host, port) as client:
+                client._conn._sock.sendall(struct.pack(">I", 33 << 20))
+                # Answered like an undecodable frame, then the
+                # connection ends.
+                with pytest.raises(GatewayError, match="protocol"):
+                    client._pump_one()
+                with pytest.raises(GatewayError, match="closed"):
+                    client._pump_one()
+            _wait_connections(gateway, 0)
+    finally:
+        service.close()
+
+
+def test_a_lane_answers_an_oversized_length_prefix_then_ends():
+    ours, peer = socket.socketpair()
+    lane = threading.Thread(
+        target=serve_lane,
+        args=(FramedEndpoint.connected(ours, EOFError), lambda message: {}),
+    )
+    lane.start()
+    client = FramedEndpoint.connected(peer, EOFError)
+    client.set_timeout(DEADLINE)
+    try:
+        peer.sendall(struct.pack(">I", 33 << 20))
+        assert "MAX_FRAME" in client.recv_message()["error"]["message"]
+        lane.join(DEADLINE)
+        assert not lane.is_alive()
+    finally:
+        client.close()
+        ours.close()
 
 
 def test_probe_of_an_out_of_range_shard_is_a_precondition_error():

@@ -11,14 +11,19 @@ evaluation.  None of that may be observable:
   postconditions and self-edges;
 * after every submit, retract, flush, release/adopt round trip and
   insert, the live survivor set and per-postcondition counts equal a
-  from-scratch fixpoint, with and without the safety check;
+  from-scratch fixpoint, and the union–find's components and their
+  collapsed-edge counts equal a from-scratch weak-component search,
+  with and without the safety check;
+* the adjacency snapshot an evaluation runs on condenses exactly as
+  the restricted graph does;
 * every recorded outcome, evaluated or settled, is exactly the result
   the SCC algorithm computes on a snapshot of the whole component taken
   just before it;
 * admission tokens keep the memoized atom patterns of a re-admitted
   query object from reviving its stale index entries;
 * only evaluated queries are standardized: a probe reads the original
-  atoms, and the plan phase standardizes the survivors it snapshots.
+  atoms, and the plan phase standardizes the survivors it snapshots,
+  renaming each distinct variable once.
 """
 
 import random
@@ -40,9 +45,10 @@ from repro.core import (
 from repro.core.coordination_graph import ExtendedEdge
 from repro.db import Database
 from repro.errors import PreconditionError
+from repro.graphs import DiGraph, condensation
 from repro.logic import Atom, Variable
 from repro.networks import member_name
-from repro.workloads import members_database, partner_query
+from repro.workloads import members_database, partner_query, queries_from_structure
 from repro.workloads.flights import user_name, worst_case_database
 
 from service_testing import DB_SIZE, flight_query, partner_stream
@@ -151,6 +157,77 @@ def test_fixpoint_on_a_subset_matches_its_snapshot(queries, rng):
     assert len(removed) == len(expected_removed)
 
 
+def _cyclic_partner_queries(case) -> List[EntangledQuery]:
+    """Partner queries over a random structure that contains the cycle
+    0 → 1 → … → k-1 → 0 (k ≥ 2), so strong components have several
+    members; self-loops give self-edges."""
+    n, k, edges = case
+    structure = DiGraph()
+    structure.add_nodes(range(n))
+    structure.add_edges(edges | {(i, (i + 1) % k) for i in range(k)})
+    return queries_from_structure(structure)
+
+
+_cyclic_structures = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(2, n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n),
+    )
+)
+
+
+@given(
+    st.one_of(_cyclic_structures.map(_cyclic_partner_queries), _query_sets),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_snapshot_condenses_like_the_restricted_graph(queries, rng):
+    """The SCC pass's adjacency snapshot of a subset — in any order —
+    yields the strong components, successor ids, closures and
+    first-edge targets that the restricted graph's condensation and
+    ``reachable_nodes`` do."""
+    graph = CoordinationGraph.build(queries)
+    names = list(graph.names())
+    rng.shuffle(names)
+    names = names[: rng.randrange(len(names) + 1)]
+    snapshot = graph.snapshot(names)
+    restricted = graph.restricted_to(names)
+
+    components, successors, closures = snapshot.condense()
+    cond = condensation(restricted.graph)
+    ids = range(cond.component_count)
+    assert components == cond.components
+    assert successors == [sorted(cond.dag.successors(c)) for c in ids]
+    assert closures == [tuple(sorted(cond.reachable_nodes(c))) for c in ids]
+    assert snapshot.targets == {
+        name: tuple(
+            (edges[0].target, edges[0].head_index) if edges else None
+            for edges in (
+                restricted.edges_from_postcondition(name, pi)
+                for pi in range(len(query.postconditions))
+            )
+        )
+        for name, query in restricted.queries.items()
+    }
+
+
+@given(_query_sets)
+@settings(max_examples=100, deadline=None)
+def test_standardizing_renames_each_variable_once(queries):
+    """``standardized()`` equals renaming atom by atom, and a variable
+    that several atoms use is one object in the copy."""
+    for query in queries:
+        copy = query.standardized()
+        atoms = copy.postconditions + copy.head + copy.body
+        originals = query.postconditions + query.head + query.body
+        assert atoms == tuple(atom.rename(query.name) for atom in originals)
+        copies: Dict[Variable, Variable] = {}
+        for atom in atoms:
+            for variable in atom.variables():
+                assert copies.setdefault(variable, variable) is variable
+
+
 def test_fixpoint_ignores_unknown_and_repeated_names():
     queries = [
         partner_query(member_name(1), [member_name(2)]),
@@ -168,12 +245,41 @@ def test_fixpoint_ignores_unknown_and_repeated_names():
 # ---------------------------------------------------------------------------
 # The live fixpoint against a from-scratch one, after every event
 # ---------------------------------------------------------------------------
-def assert_live_fixpoint(graph: CoordinationGraph) -> None:
-    """The live survivors and per-postcondition counts of ``graph`` equal
-    a from-scratch fixpoint over all its queries."""
+def _weak_components(graph: CoordinationGraph) -> Set[Tuple[frozenset, int]]:
+    """Every weak component of ``graph`` with its collapsed-edge count,
+    from scratch: a depth-first search over the collapsed edges."""
+    out: Set[Tuple[frozenset, int]] = set()
+    seen: Set[str] = set()
+    for start in graph.names():
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, members = [start], {start}
+        while stack:
+            name = stack.pop()
+            for neighbour in graph.graph.successors(name) | graph.graph.predecessors(name):
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    members.add(neighbour)
+                    stack.append(neighbour)
+        out.add((frozenset(members), sum(graph.graph.out_degree(n) for n in members)))
+    return out
+
+
+def assert_live_fixpoint(engine: CoordinationEngine) -> None:
+    """The live survivors and per-postcondition counts of the engine's
+    graph equal a from-scratch fixpoint over all its queries, and its
+    union–find holds the graph's weak components with their
+    collapsed-edge counts."""
+    graph = engine._graph
     names = graph.names()
     expected, _ = graph.survivors(names)
-    assert graph.live_survivors(names) == (expected, graph.graph.edge_count())
+    assert graph.live_survivors(names) == expected
+    forest = engine._components
+    assert {
+        (frozenset(members), forest.edge_count(members[0]))
+        for members in forest.components()
+    } == _weak_components(graph)
     core = graph._core
     assert core.alive == set(expected)
     assert core.support == {
@@ -243,7 +349,7 @@ def test_live_fixpoint_matches_a_from_scratch_one_after_every_event(
     engine = CoordinationEngine(db, check_safety=check_safety)
     for event in events:
         _apply(engine, event, db)
-        assert_live_fixpoint(engine._graph)
+        assert_live_fixpoint(engine)
 
 
 def test_live_fixpoint_on_partner_streams_with_every_event_kind():
@@ -264,7 +370,7 @@ def test_live_fixpoint_on_partner_streams_with_every_event_kind():
                 elif rng.random() < 0.05:
                     _apply(engine, ("roundtrip", rng.randrange(99)), db)
                 _apply(engine, event, db)
-                assert_live_fixpoint(engine._graph)
+                assert_live_fixpoint(engine)
 
 
 def test_closing_a_three_cycle_revives_two_removed_queries():
@@ -277,19 +383,19 @@ def test_closing_a_three_cycle_revives_two_removed_queries():
         handle = engine.admit(partner_query(name, [partner]))
         assert handle.outcome is not None  # settled at admission
         assert handle.result.stats.preprocessing_removed == len(handle.component)
-        assert engine._graph.live_survivors(engine.pending())[0] == ()
-        assert_live_fixpoint(engine._graph)
+        assert engine._graph.live_survivors(engine.pending()) == ()
+        assert_live_fixpoint(engine)
 
     handle = engine.admit(partner_query(c, [a]))
     assert handle.outcome is None  # owed an evaluation
-    assert engine._graph.live_survivors(engine.pending())[0] == (a, b, c)
-    assert_live_fixpoint(engine._graph)
+    assert engine._graph.live_survivors(engine.pending()) == (a, b, c)
+    assert_live_fixpoint(engine)
 
     engine.evaluate_admitted_phased([handle])
     assert handle.state is QueryState.SATISFIED
     assert set(handle.satisfied) == {a, b, c}
     assert engine.pending() == ()
-    assert_live_fixpoint(engine._graph)
+    assert_live_fixpoint(engine)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +540,8 @@ def _assert_follower_gets_one_edge(engine, leader: str) -> None:
     assert probe.new_edges == (ExtendedEdge("follower", 0, leader, 0),)
     handle = engine.submit(follower)
     assert handle.state is QueryState.PENDING
-    assert engine.graph().out_edges_of("follower") == probe.new_edges
+    edges = engine.graph().extended_edges
+    assert tuple(edge for edge in edges if edge.source == "follower") == probe.new_edges
 
 
 def _engine_with_bystanders() -> CoordinationEngine:

@@ -6,9 +6,11 @@ Hypothesis drives structure generation; the invariants are:
 2. the SCC algorithm finds a set iff the exponential oracle does;
 3. the consistent algorithm's outcome converts to a Definition-1
    witness of its lowered entangled queries;
-4. online, every component the engine settles without an evaluation
-   has no coordinating set by the exhaustive oracle, and every set it
-   retires passes Definition 1 against the database at its commit.
+4. online — through one engine and through the sharded service —
+   every component settled without an evaluation has no coordinating
+   set by the exhaustive oracle, every retired set passes Definition 1
+   against the database at its commit, and every evaluation issues at
+   most one database query per strong component of its survivors.
 """
 
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from repro.core import (
     FriendSlot,
     NamedPartner,
     QueryState,
+    ServiceConfig,
+    ShardedCoordinationService,
     consistent_coordinate,
     coordinating_set_exists,
     find_coordinating_set,
@@ -117,12 +121,14 @@ def _user_query(arrival):
     return partner_query(member_name(user), [member_name(p) for p in sorted(partners)])
 
 
-@given(_online_streams)
-@settings(max_examples=80, deadline=None)
-def test_online_settlements_and_retirements_agree_with_the_paper(case):
+def _replay_against_the_paper(case, front, insert) -> None:
+    """Replay one stream through ``front`` (an engine or a service) and
+    hold every outcome to the paper: a settled component has no
+    coordinating set, a retired set passes Definition 1, and an
+    evaluation issues at most one database query per strong component
+    of its survivors (Section 4's ≤|Q| bound)."""
     n, missing, events = case
-    db = _partner_db(n, missing)
-    engine = CoordinationEngine(db)
+    db = front.db
     admitted = {}  # name -> the query object pending (or retired) under it
 
     def check(handles):
@@ -131,12 +137,15 @@ def test_online_settlements_and_retirements_agree_with_the_paper(case):
             admitted[handle.query] = handle.entangled
         for handle in handles:
             result = handle.result
-            if result.stats.preprocessing_removed == len(handle.component):
+            stats = result.stats
+            if stats.preprocessing_removed == len(handle.component):
                 # Settled: nothing in the component survived preprocessing.
                 assert result.chosen is None
                 assert not coordinating_set_exists(
                     db, [admitted[name] for name in handle.component]
                 )
+            else:
+                assert stats.db_queries <= stats.scc_count
             chosen = result.chosen
             if chosen is not None:
                 report = verify_coordinating_set(
@@ -151,19 +160,36 @@ def test_online_settlements_and_retirements_agree_with_the_paper(case):
         kind = event[0]
         if kind == "submit":
             try:
-                check([engine.submit(_user_query(event[1]))])
+                check([front.submit(_user_query(event[1]))])
             except PreconditionError:
                 pass
         elif kind == "batch":
-            check(engine.submit_many([_user_query(a) for a in event[1]]))
+            check(front.submit_many([_user_query(a) for a in event[1]]))
         elif kind == "retract":
-            pending = sorted(engine.pending())
+            pending = sorted(front.pending())
             if pending:
-                engine.retract(pending[event[1] % len(pending)])
+                front.retract(pending[event[1] % len(pending)])
         elif event[1] in missing:
-            db.insert(
-                "Members", (member_name(event[1]), "EU", "games", event[1])
-            )
+            insert("Members", (member_name(event[1]), "EU", "games", event[1]))
+
+
+@given(_online_streams)
+@settings(max_examples=80, deadline=None)
+def test_online_settlements_and_retirements_agree_with_the_paper(case):
+    db = _partner_db(case[0], case[1])
+    _replay_against_the_paper(case, CoordinationEngine(db), db.insert)
+
+
+@given(_online_streams)
+@settings(max_examples=40, deadline=None)
+def test_sharded_settlements_and_retirements_agree_with_the_paper(case):
+    service = ShardedCoordinationService(
+        _partner_db(case[0], case[1]), ServiceConfig(workers=2)
+    )
+    try:
+        _replay_against_the_paper(case, service, service.insert)
+    finally:
+        service.close()
 
 
 # ---------------------------------------------------------------------------

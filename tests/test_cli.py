@@ -421,10 +421,12 @@ class TestServe:
 
             # ann waits on her own connection; bob's arrival, on
             # another, coordinates the pair and streams ann's record.
+            # The server is serial, so bob's submit replies satisfied
+            # already, and --wait still prints the coordinating set.
             waiter = self._spawn("client", address, "submit", self.ANN, "--wait")
             assert waiter.stdout.readline() == "ann: pending\n"
-            assert self._client(address, "submit", self.BOB, "--wait")[-1].startswith(
-                "bob: satisfied"
+            assert self._client(address, "submit", self.BOB, "--wait")[-1] == (
+                "bob: satisfied with {ann, bob}"
             )
             out, err = waiter.communicate(timeout=60)
             assert waiter.returncode == 0, err
