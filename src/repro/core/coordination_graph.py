@@ -25,31 +25,20 @@ evaluation is never standardised.
 
 Online maintenance
 ------------------
-The Youtopia embedding (Section 6.1) feeds arrivals one at a time, so
-the representation is built for *extension*, not reconstruction.  All
-graphs produced by a chain of :meth:`CoordinationGraph.with_query`
-calls share one mutable :class:`_GraphCore`; extending the newest graph
-of the chain (the *tip*) appends to the shared core in O(new incident
-edges) — no copy of the head index, the edge list, or the adjacency
-maps is ever taken on the arrival path.  Older graphs of the chain stay
-valid reads: each remembers the (query, edge) prefix of the core that
-was current when it was created, and *detaches* onto a private core the
-first time it is read or extended after the chain moved on.  The
-snapshot guarantee attaches to the *graph object* and its accessors —
-the ``queries``/``standardized`` mappings it hands out are live views
-of its current state, not frozen copies (see the property docstrings).  A linear
-arrival stream therefore pays amortized O(incident edges) per query,
-while branching (two extensions of one base) costs one O(base) copy —
-exactly the access pattern split between the online engine and
-exploratory callers.
+The Youtopia embedding (Section 6.1) keeps one coordination graph that
+each arrival extends and each satisfied set leaves, so a
+:class:`CoordinationGraph` is one mutable object, built for *extension*,
+not reconstruction.  :meth:`CoordinationGraph.probe` computes an
+arrival's incident edges and their safety impact without touching the
+graph, and :meth:`CoordinationGraph.with_arrival` commits them in place
+in O(new incident edges).  :meth:`CoordinationGraph.discard_queries`
+removes a satisfied set and its edges in place in O(removed component).
+Neither copies anything, and every read reflects the graph's current
+state; a caller that needs a frozen copy takes one with
+:meth:`CoordinationGraph.restricted_to`, at O(graph).
 
-Destructive operations (:meth:`discard_queries`, issued by the engine
-when a coordinating set is satisfied and leaves the system) mutate the
-core in place in O(removed component); any other graph still attached
-to the core is detached first, so it keeps its pre-removal snapshot.
-
-The preprocessing fixpoint is kept live the same way: once
-:meth:`CoordinationGraph.live_survivors` has been asked, the core
+The preprocessing fixpoint is kept live too: once
+:meth:`CoordinationGraph.live_survivors` has been asked, the graph
 maintains the greatest fixpoint of the Section 6.1 preprocessing over
 all its queries, plus every postcondition's count of surviving matching
 heads.  An arrival re-runs the fixpoint only over itself and the
@@ -59,10 +48,8 @@ cascades (DESIGN.md §15 has the argument).
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..graphs import DiGraph, component_index, strongly_connected_components
@@ -91,11 +78,10 @@ class _AtomIndex:
     unifiability is symmetric, so one implementation serves both.
 
     Removal is handled by *tombstoning*: entries of dropped queries stay
-    in the buckets and are filtered out by the caller's liveness check
-    (each entry carries its query's admission token, see
-    :meth:`_GraphCore.is_current_atom`); the owning :class:`_GraphCore`
-    rebuilds the index once dead entries outnumber live ones, keeping
-    the amortized cost O(1) per entry.
+    in the buckets, and :meth:`CoordinationGraph.probe` skips an entry
+    whose admission token is no longer its query's; the owning graph
+    drops the index once dead entries outnumber live ones, and the next
+    probe rebuilds it, keeping the amortized cost O(1) per entry.
     """
 
     __slots__ = ("_buckets", "live", "dead")
@@ -224,11 +210,11 @@ class ArrivalProbe:
     query: EntangledQuery
     new_edges: Tuple[ExtendedEdge, ...]
     violations: Tuple[Tuple[str, int, int], ...]
-    # Origin stamp: the core object and its version at probe time.
+    # Origin stamp: the graph object and its version at probe time.
     # ``with_arrival`` recomputes the probe, and ``probe(reuse=...)``
     # declines it, unless both still match.
     base_version: int
-    base_core: object
+    base_graph: "CoordinationGraph"
 
     @property
     def is_safe(self) -> bool:
@@ -278,130 +264,436 @@ class AdjacencySnapshot:
         return components, successors, [tuple(sorted(c)) for c in reach]
 
 
-class _GraphCore:
-    """The shared mutable backing store of a chain of coordination graphs.
+class _StandardizedView(Mapping):
+    """Read-only ``name -> standardized query`` view over a queries dict."""
 
-    Holds the authoritative dictionaries, the append-only edge list,
-    the collapsed digraph, both atom indexes, per-node incident-edge
-    adjacency, the per-postcondition head-match counts, the live
+    __slots__ = ("_queries",)
+
+    def __init__(self, queries: Dict[str, EntangledQuery]) -> None:
+        self._queries = queries
+
+    def __getitem__(self, name: str) -> EntangledQuery:
+        return self._queries[name].standardized()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._queries)
+
+    def __len__(self) -> int:
+        return len(self._queries)
+
+
+class CoordinationGraph:
+    """The extended and collapsed coordination graphs of a query set.
+
+    One mutable object (see the module docstring):
+    :meth:`with_arrival` and :meth:`discard_queries` change it in place,
+    and every read reflects its current state.  Beside the queries and
+    the extended edges it keeps the collapsed digraph, per-node and
+    per-postcondition incident-edge lists, both atom indexes, the live
     preprocessing fixpoint, and each query's admission token.
-    ``version`` increments on every mutation; a
-    :class:`CoordinationGraph` whose version matches is the *tip* and
-    reads the core directly.
     """
 
     __slots__ = (
-        "queries",
-        "edges",
-        "edge_pos",
-        "dead_edges",
-        "digraph",
-        "out_by_post",
-        "out_edges",
-        "in_edges",
-        "fanout",
-        "alive",
-        "support",
-        "head_index",
-        "post_index",
-        "tokens",
-        "version",
-        "attached",
+        "_queries",
+        "_edges",
+        "_digraph",
+        "_out_by_post",
+        "_out_edges",
+        "_in_edges",
+        "_alive",
+        "_support",
+        "_head_index",
+        "_post_index",
+        "_tokens",
+        "_version",
     )
 
     def __init__(self) -> None:
-        self.queries: Dict[str, EntangledQuery] = {}
-        # Append-only; removal tombstones slots to None so the prefixes
-        # remembered by attached graphs stay addressable.
-        self.edges: List[Optional[ExtendedEdge]] = []
-        self.edge_pos: Dict[ExtendedEdge, int] = {}
-        self.dead_edges = 0
-        self.digraph = DiGraph()
-        self.out_by_post: Dict[Tuple[str, int], List[ExtendedEdge]] = {}
-        self.out_edges: Dict[str, List[ExtendedEdge]] = {}
-        self.in_edges: Dict[str, List[ExtendedEdge]] = {}
-        # (query, post_index) -> live head-match count; safety means
-        # every value is at most 1 (Definition 2).
-        self.fanout: Dict[Tuple[str, int], int] = {}
-        # The live preprocessing fixpoint, built lazily on first read
-        # like the atom indexes (snapshots and detached views are never
-        # asked): ``alive`` is the greatest set of queries whose every
-        # postcondition has a matching head inside the set, and
-        # ``support`` maps every (query, post_index) of the core, alive
-        # or not, to its number of edges into ``alive``.
-        self.alive: Optional[Set[str]] = None
-        self.support: Optional[Dict[Tuple[str, int], int]] = None
-        # Atom indexes are built lazily on first probe: restricted /
-        # detached graphs are evaluated (preprocess, condensation,
-        # unification) but never probed, so they must not pay index
-        # construction.  Once built, extensions maintain them
-        # incrementally; discard sets them back to None when tombstones
-        # dominate (cheaper than compacting eagerly).
-        self.head_index: Optional[_AtomIndex] = None
-        self.post_index: Optional[_AtomIndex] = None
-        # name -> admission token: the core version at which the query
-        # was admitted (0 for queries a core was built with).  Index
-        # entries carry the token they were added under.
-        self.tokens: Dict[str, int] = {}
-        self.version = 0
-        self.attached: "weakref.WeakSet[CoordinationGraph]" = weakref.WeakSet()
+        """An empty graph; :meth:`build` fills one from a query set."""
+        self._queries: Dict[str, EntangledQuery] = {}
+        # The extended edges in insertion order (the values are unused).
+        self._edges: Dict[ExtendedEdge, None] = {}
+        self._digraph = DiGraph()
+        # (query, post_index) -> its edges, present while non-empty; the
+        # set is safe when no list is longer than one (Definition 2).
+        self._out_by_post: Dict[Tuple[str, int], List[ExtendedEdge]] = {}
+        self._out_edges: Dict[str, List[ExtendedEdge]] = {}
+        self._in_edges: Dict[str, List[ExtendedEdge]] = {}
+        # The live preprocessing fixpoint, built on first read
+        # (restricted copies are never asked): ``_alive`` is the
+        # greatest set of queries whose every postcondition has a
+        # matching head inside the set, and ``_support`` maps every
+        # (query, post_index), alive or not, to its number of edges
+        # into ``_alive``.
+        self._alive: Optional[Set[str]] = None
+        self._support: Optional[Dict[Tuple[str, int], int]] = None
+        # Atom indexes, built on first probe (restricted copies are
+        # evaluated but never probed) and maintained by every arrival;
+        # a deletion drops them when tombstones dominate, and the next
+        # probe rebuilds them.
+        self._head_index: Optional[_AtomIndex] = None
+        self._post_index: Optional[_AtomIndex] = None
+        # name -> admission token: the version at which the query was
+        # admitted (0 in a restricted copy).  Index entries carry the
+        # token they were added under.
+        self._tokens: Dict[str, int] = {}
+        # Bumped by every mutation; probes are stamped with it.
+        self._version = 0
 
     # ------------------------------------------------------------------
+    # Construction and arrivals
+    # ------------------------------------------------------------------
     @classmethod
-    def from_parts(
-        cls,
-        queries: Dict[str, EntangledQuery],
-        edges: Iterable[ExtendedEdge],
-    ) -> "_GraphCore":
-        """Build a consistent core from known queries and edges."""
-        core = cls()
-        core.queries = queries
-        core.digraph.add_nodes(queries.keys())
-        core.tokens = dict.fromkeys(queries, 0)
-        for name in queries:
-            core.out_edges[name] = []
-            core.in_edges[name] = []
-        for edge in edges:
-            core._append_edge(edge)
-        return core
+    def build(cls, queries: Iterable[EntangledQuery]) -> "CoordinationGraph":
+        """Build both graphs for a query set, one arrival at a time.
 
-    def ensure_indexes(self) -> None:
+        A postcondition is matched against every head atom of the set,
+        its own query's included: the paper's definition quantifies
+        over all "head atoms that appear in Q".
+        """
+        graph = cls()
+        for query in check_distinct_names(queries):
+            graph.with_arrival(graph.probe(query))
+        return graph
+
+    def probe(
+        self, query: EntangledQuery, reuse: Optional[ArrivalProbe] = None
+    ) -> ArrivalProbe:
+        """The edges and safety impact of one prospective arrival.
+
+        O(candidate pairs) via the head/postcondition indexes; the
+        receiver is not modified, so a rejected arrival needs no
+        rollback.  Raises for a duplicate name.  ``reuse`` is an earlier
+        probe, returned as it is when it was taken for this very query
+        object on this very graph state; any mutation in between (an
+        arrival, an adoption, a deletion) forces a fresh probe.
+        """
+        if reuse is not None and reuse.query is query and self._probed_here(reuse):
+            return reuse
+        return self._probe(query)
+
+    def _probed_here(self, probe: ArrivalProbe) -> bool:
+        return probe.base_graph is self and probe.base_version == self._version
+
+    def _probe(self, query: EntangledQuery) -> ArrivalProbe:
+        name = query.name
+        if name in self._queries:
+            from ..errors import MalformedQueryError
+
+            raise MalformedQueryError(f"duplicate query name {name!r}")
+        self._ensure_indexes()
+        posts, heads = query.atom_patterns()
+        self_edges = query.self_edges()
+        # An index entry is live only if it was added under its query's
+        # current admission token: entries of dropped queries stay in
+        # the buckets, and a re-admitted name (an unrelated query, or
+        # the same query object again, whose memoized patterns are the
+        # very objects its stale entries hold) has a new token.
+        tokens = self._tokens
+        new_edges: List[ExtendedEdge] = []
+
+        # The newcomer's postconditions against every existing head,
+        # plus its own heads — which are not yet indexed.  Atoms of two
+        # queries share no variable once standardised apart, so for two
+        # linear atoms the index's pattern test is the unifier's
+        # answer; otherwise the unifier decides.
+        for pi, post in enumerate(posts):
+            for target, hi, head, token in self._head_index.matches(post):
+                if tokens.get(target) != token:
+                    continue
+                if (post.linear and head.linear) or unifiable(
+                    post.atom.rename(name), head.atom.rename(target)
+                ):
+                    new_edges.append(ExtendedEdge(name, pi, target, hi))
+            for self_pi, hi in self_edges:
+                if self_pi == pi:
+                    new_edges.append(ExtendedEdge(name, pi, name, hi))
+
+        # Existing postconditions against the newcomer's heads.
+        for hi, head in enumerate(heads):
+            for source, pi, post, token in self._post_index.matches(head):
+                if tokens.get(source) != token:
+                    continue
+                if (post.linear and head.linear) or unifiable(
+                    post.atom.rename(source), head.atom.rename(name)
+                ):
+                    new_edges.append(ExtendedEdge(source, pi, name, hi))
+
+        # Safety delta (Definition 2): the set stays safe iff no
+        # postcondition — old or new — ends up with more than one
+        # matching head.  Only the new edges can raise a count.
+        delta: Dict[Tuple[str, int], int] = {}
+        for edge in new_edges:
+            key = (edge.source, edge.post_index)
+            delta[key] = delta.get(key, 0) + 1
+        out_by_post = self._out_by_post
+        violations = tuple(
+            (name, pi, total)
+            for (name, pi), added in sorted(delta.items())
+            if (total := len(out_by_post.get((name, pi), ())) + added) > 1
+        )
+        return ArrivalProbe(query, tuple(new_edges), violations, self._version, self)
+
+    def with_arrival(self, probe: ArrivalProbe) -> None:
+        """Commit a probed arrival in place, in O(new edges).
+
+        A probe taken on another graph, or on this one before a later
+        mutation, is recomputed (probes are cheap and side-effect free).
+        Returns ``None``: the receiver is the extended graph.
+        """
+        if not self._probed_here(probe):
+            probe = self._probe(probe.query)
+        query = probe.query
+        name = query.name
+        self._version += 1
+        token = self._version
+        self._queries[name] = query
+        self._tokens[name] = token
+        self._digraph.add_node(name)
+        self._out_edges[name] = []
+        self._in_edges[name] = []
+        if self._head_index is not None:
+            posts, heads = query.atom_patterns()
+            for hi, head in enumerate(heads):
+                self._head_index.add(name, hi, head, token)
+            for pi, post in enumerate(posts):
+                self._post_index.add(name, pi, post, token)
+        for edge in probe.new_edges:
+            self._append_edge(edge)
+        if self._alive is not None:
+            support = self._support
+            for pi in range(len(query.postconditions)):
+                support[(name, pi)] = 0
+            for edge in probe.new_edges:
+                if edge.target in self._alive:
+                    support[(edge.source, edge.post_index)] += 1
+            self._revive(name)
+
+    def _append_edge(self, edge: ExtendedEdge) -> None:
+        self._edges[edge] = None
+        self._out_by_post.setdefault((edge.source, edge.post_index), []).append(edge)
+        self._out_edges[edge.source].append(edge)
+        self._in_edges[edge.target].append(edge)
+        self._digraph.add_edge(edge.source, edge.target)
+
+    def _ensure_indexes(self) -> None:
         """Build the head/postcondition atom indexes if absent."""
-        if self.head_index is not None:
+        if self._head_index is not None:
             return
         head_index = _AtomIndex()
         post_index = _AtomIndex()
-        for name, query in self.queries.items():
-            token = self.tokens[name]
+        for name, query in self._queries.items():
+            token = self._tokens[name]
             posts, heads = query.atom_patterns()
             for hi, head in enumerate(heads):
                 head_index.add(name, hi, head, token)
             for pi, post in enumerate(posts):
                 post_index.add(name, pi, post, token)
-        self.head_index = head_index
-        self.post_index = post_index
+        self._head_index = head_index
+        self._post_index = post_index
 
-    def ensure_fixpoint(self) -> None:
-        """Build the live preprocessing fixpoint if absent."""
-        if self.alive is not None:
+    # ------------------------------------------------------------------
+    # Deletion (the engine's satisfied-set removal path)
+    # ------------------------------------------------------------------
+    def discard_queries(self, names: Iterable[str]) -> None:
+        """Remove queries and their incident edges, in place.
+
+        O(removed queries + their incident edges), amortized over index
+        compaction: the online engine removes each satisfied set this
+        way.  Unknown and repeated names are ignored.
+        """
+        queries = self._queries
+        dropped = [n for n in dict.fromkeys(names) if n in queries]
+        if not dropped:
             return
-        self.alive = set(self.queries)
-        self.support = {}
+        dropped_set = set(dropped)
+        if self._alive is not None:
+            # Deletions only shrink the fixpoint: the dropped heads stop
+            # supporting, and queries left unsupported cascade out.
+            alive = self._alive
+            support = self._support
+            was_alive = [name for name in dropped if name in alive]
+            alive.difference_update(dropped_set)
+            stuck: List[str] = []
+            for name in was_alive:
+                for edge in self._in_edges[name]:
+                    key = (edge.source, edge.post_index)
+                    support[key] -= 1
+                    if not support[key] and edge.source in alive:
+                        stuck.append(edge.source)
+            self._drop_unsupported(stuck)
+        for name in dropped:
+            query = queries.pop(name)
+            # An edge between two dropped queries dies on its source's
+            # turn; an edge to or from a survivor also leaves the
+            # survivor's incident list.
+            for edge in self._out_edges.pop(name):
+                self._kill_edge(edge)
+                if edge.target not in dropped_set:
+                    self._in_edges[edge.target].remove(edge)
+            for edge in self._in_edges.pop(name):
+                if edge.source not in dropped_set:
+                    self._kill_edge(edge)
+                    self._out_edges[edge.source].remove(edge)
+            if self._support is not None:
+                for pi in range(len(query.postconditions)):
+                    del self._support[(name, pi)]
+            if self._head_index is not None:
+                self._head_index.mark_dead(len(query.head))
+                self._post_index.mark_dead(len(query.postconditions))
+            self._digraph.remove_node(name)
+            del self._tokens[name]
+        if self._head_index is not None and (
+            self._head_index.needs_compaction() or self._post_index.needs_compaction()
+        ):
+            self._head_index = self._post_index = None
+        self._version += 1
+
+    def _kill_edge(self, edge: ExtendedEdge) -> None:
+        del self._edges[edge]
+        key = (edge.source, edge.post_index)
+        edges = self._out_by_post[key]
+        edges.remove(edge)
+        if not edges:
+            del self._out_by_post[key]
+
+    # ------------------------------------------------------------------
+    # Read surface
+    # ------------------------------------------------------------------
+    @property
+    def queries(self) -> Dict[str, EntangledQuery]:
+        """Original queries by name, in admission order.
+
+        The graph's own map, so it changes as the graph does: treat it
+        as read-only, and copy it (``dict(graph.queries)``) to keep a
+        snapshot.
+        """
+        return self._queries
+
+    @property
+    def standardized(self) -> Mapping:
+        """The same queries with variables namespaced by query name; all
+        unification in the evaluation layers happens on these.  A
+        read-only live view over :attr:`queries` that returns each
+        query's memoized
+        :meth:`~repro.core.query.EntangledQuery.standardized` copy, so
+        reading a query here standardizes it if nothing had yet."""
+        return _StandardizedView(self._queries)
+
+    @property
+    def extended_edges(self) -> List[ExtendedEdge]:
+        """All labelled edges of the extended coordination graph, in
+        insertion order (a fresh list on every access; safe to hold)."""
+        return list(self._edges)
+
+    @property
+    def graph(self) -> DiGraph:
+        """The collapsed coordination graph over query names."""
+        return self._digraph
+
+    def edges_from_postcondition(self, query: str, post_index: int) -> List[ExtendedEdge]:
+        """All extended edges emanating from one postcondition atom."""
+        return list(self._out_by_post.get((query, post_index), ()))
+
+    def post_atom(self, edge: ExtendedEdge) -> Atom:
+        """The (standardised) postcondition atom of an edge."""
+        query = self._queries[edge.source]
+        return query.standardized().postconditions[edge.post_index]
+
+    def head_atom(self, edge: ExtendedEdge) -> Atom:
+        """The (standardised) head atom of an edge."""
+        return self._queries[edge.target].standardized().head[edge.head_index]
+
+    def names(self) -> Tuple[str, ...]:
+        """All query names."""
+        return tuple(self._queries)
+
+    def restricted_to(self, names: Iterable[str]) -> "CoordinationGraph":
+        """The coordination graph induced on a subset of queries.
+
+        Uses the per-node incident-edge adjacency, so the cost is
+        O(kept queries + their incident edges), independent of the
+        total pending-set size.  Unknown names are ignored.  The result
+        is an independent graph: later mutations of either side do not
+        reach the other.  An evaluation reads a :meth:`snapshot`
+        instead, which copies only what the SCC pass needs.
+        """
+        keep = [n for n in dict.fromkeys(names) if n in self._queries]
+        sub = CoordinationGraph()
+        for name in keep:
+            sub._queries[name] = self._queries[name]
+            sub._tokens[name] = 0
+            sub._out_edges[name] = []
+            sub._in_edges[name] = []
+        sub._digraph.add_nodes(keep)
+        for name in keep:
+            for edge in self._out_edges[name]:
+                if edge.target in sub._queries:
+                    sub._append_edge(edge)
+        return sub
+
+    def snapshot(self, names: Iterable[str]) -> AdjacencySnapshot:
+        """What the SCC pass reads of the subgraph ``names`` induces, in
+        one pass over their out-edges, with :meth:`restricted_to`'s node
+        order; unknown names are ignored.  Every kept query is
+        standardized here, so an evaluation that runs on the snapshot —
+        outside the engine lock — only reads the memoized copies."""
+        queries = {n: self._queries[n] for n in names if n in self._queries}
+        successors: Dict[str, Set[str]] = {}
+        targets: Dict[str, Tuple[Optional[Tuple[str, int]], ...]] = {}
+        for name, query in queries.items():
+            query.standardized()
+            successors[name] = succ = set()
+            first: List[Optional[Tuple[str, int]]] = [None] * len(query.postconditions)
+            for edge in self._out_edges[name]:
+                target = edge.target
+                if target in queries:
+                    succ.add(target)
+                    if first[edge.post_index] is None:
+                        first[edge.post_index] = (target, edge.head_index)
+            targets[name] = tuple(first)
+        return AdjacencySnapshot(queries, successors, targets)
+
+    # ------------------------------------------------------------------
+    # The preprocessing fixpoint
+    # ------------------------------------------------------------------
+    def live_survivors(self, names: Sequence[str]) -> Tuple[str, ...]:
+        """The members of ``names`` in the live preprocessing fixpoint,
+        in the order of ``names``.
+
+        The fixpoint is that of the whole graph, kept up to date by
+        every arrival and deletion (see the module docstring), so this
+        is one pass over ``names`` with no edge walked.  When ``names``
+        is closed under edges — a union of weak components, which is
+        what the online engine asks about — the result equals
+        ``survivors(names)[0]``.  The first call on a graph builds the
+        fixpoint in O(graph + edges).  Unknown names are ignored.
+        """
+        self._ensure_fixpoint()
+        live = self._alive
+        return tuple(name for name in names if name in live)
+
+    def _ensure_fixpoint(self) -> None:
+        """Build the live preprocessing fixpoint if absent."""
+        if self._alive is not None:
+            return
+        self._alive = set(self._queries)
+        self._support = {}
         stuck: List[str] = []
-        for name, query in self.queries.items():
+        for name, query in self._queries.items():
             for pi in range(len(query.postconditions)):
-                count = len(self.out_by_post.get((name, pi), ()))
-                self.support[(name, pi)] = count
+                count = len(self._out_by_post.get((name, pi), ()))
+                self._support[(name, pi)] = count
                 if not count:
                     stuck.append(name)
-        self.drop_unsupported(stuck)
+        self._drop_unsupported(stuck)
 
-    def drop_unsupported(self, worklist: List[str]) -> None:
-        """Remove ``worklist`` from ``alive`` and cascade: every query
-        left with an unsupported postcondition follows."""
-        alive = self.alive
-        support = self.support
-        in_edges = self.in_edges
+    def _drop_unsupported(self, worklist: List[str]) -> None:
+        """Remove ``worklist`` from the fixpoint and cascade: every
+        query left with an unsupported postcondition follows."""
+        alive = self._alive
+        support = self._support
+        in_edges = self._in_edges
         while worklist:
             name = worklist.pop()
             if name not in alive:
@@ -413,18 +705,19 @@ class _GraphCore:
                 if not support[key] and edge.source in alive:
                     worklist.append(edge.source)
 
-    def revive(self, name: str) -> None:
+    def _revive(self, name: str) -> None:
         """Extend the fixpoint with a just-committed arrival ``name``.
 
         Only removed queries that reach ``name`` through removed
         queries can join the fixpoint (DESIGN.md §15), so the fixpoint
         re-runs over those alone, with the alive set as fixed support.
         """
-        for pi in range(len(self.queries[name].postconditions)):
-            if (name, pi) not in self.out_by_post:
+        out_by_post = self._out_by_post
+        for pi in range(len(self._queries[name].postconditions)):
+            if (name, pi) not in out_by_post:
                 return  # a postcondition nothing can satisfy
-        alive = self.alive
-        in_edges = self.in_edges
+        alive = self._alive
+        in_edges = self._in_edges
         candidates = {name}
         stack = [name]
         while stack:
@@ -435,9 +728,8 @@ class _GraphCore:
                     stack.append(source)
         # Per candidate postcondition: heads in alive plus heads among
         # the candidates.
-        support = self.support
-        out_by_post = self.out_by_post
-        queries = self.queries
+        support = self._support
+        queries = self._queries
         matches: Dict[Tuple[str, int], int] = {}
         worklist: List[str] = []
         for candidate in candidates:
@@ -466,482 +758,11 @@ class _GraphCore:
             for edge in in_edges[revived]:
                 support[(edge.source, edge.post_index)] += 1
 
-    def _append_edge(self, edge: ExtendedEdge) -> None:
-        self.edge_pos[edge] = len(self.edges)
-        self.edges.append(edge)
-        self.out_by_post.setdefault((edge.source, edge.post_index), []).append(edge)
-        self.out_edges.setdefault(edge.source, []).append(edge)
-        self.in_edges.setdefault(edge.target, []).append(edge)
-        key = (edge.source, edge.post_index)
-        self.fanout[key] = self.fanout.get(key, 0) + 1
-        self.digraph.add_edge(edge.source, edge.target)
-
-    def compact_indexes_if_needed(self) -> None:
-        if self.head_index is None:
-            return
-        if self.head_index.needs_compaction() or self.post_index.needs_compaction():
-            # Drop rather than rebuild: the next probe rebuilds lazily,
-            # and evaluation-only graphs never pay for it.
-            self.head_index = None
-            self.post_index = None
-
-    def compact_edges_if_needed(self) -> None:
-        if self.dead_edges <= len(self.edges) - self.dead_edges:
-            return
-        self.edges = [e for e in self.edges if e is not None]
-        self.edge_pos = {e: i for i, e in enumerate(self.edges)}
-        self.dead_edges = 0
-
-
-class _StandardizedView(Mapping):
-    """Read-only ``name -> standardized query`` view over a queries dict."""
-
-    __slots__ = ("_queries",)
-
-    def __init__(self, queries: Dict[str, EntangledQuery]) -> None:
-        self._queries = queries
-
-    def __getitem__(self, name: str) -> EntangledQuery:
-        return self._queries[name].standardized()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._queries)
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-
-class CoordinationGraph:
-    """The extended and collapsed coordination graphs of a query set.
-
-    A lightweight view over a shared :class:`_GraphCore` (see the
-    module docstring for the sharing discipline).  The public surface —
-    ``queries``, ``standardized``, ``extended_edges``, ``graph``, and
-    the lookup methods — is unchanged from the batch-built
-    representation; all properties are cheap for the newest graph of an
-    extension chain.
-    """
-
-    __slots__ = ("_core", "_version", "_n_queries", "_n_edges", "__weakref__")
-
-    def __init__(self, core: _GraphCore, version: int) -> None:
-        self._core = core
-        self._version = version
-        self._n_queries = len(core.queries)
-        self._n_edges = len(core.edges)
-        core.attached.add(self)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        queries: Iterable[EntangledQuery],
-        include_self_edges: bool = True,
-    ) -> "CoordinationGraph":
-        """Build both graphs for a query set.
-
-        ``include_self_edges`` controls whether a query's postcondition
-        may be matched against the query's own head atoms.  The paper's
-        definition quantifies over all "head atoms that appear in Q",
-        which includes the query's own; no example in the paper has a
-        self-unifiable pair, so the flag only matters for synthetic
-        inputs.
-        """
-        query_list = check_distinct_names(queries)
-        graph = cls(_GraphCore(), 0)
-        for query in query_list:
-            probe = graph._probe(query, include_self=include_self_edges)
-            graph = graph.with_arrival(probe)
-        return graph
-
-    def probe(
-        self, query: EntangledQuery, reuse: Optional[ArrivalProbe] = None
-    ) -> ArrivalProbe:
-        """The edges and safety impact of one prospective arrival.
-
-        O(candidate pairs) via the head/postcondition indexes; the
-        receiver is not modified, so a rejected arrival needs no
-        rollback.  Raises for a duplicate name.  ``reuse`` is an earlier
-        probe, returned as it is when it was taken for this very query
-        object on this very graph state; any mutation in between (an
-        arrival, an adoption, a deletion) forces a fresh probe.
-        """
-        if reuse is not None and reuse.query is query and self._probed_here(reuse):
-            return reuse
-        return self._probe(query, include_self=True)
-
-    def _probed_here(self, probe: ArrivalProbe) -> bool:
-        # Version numbers alone are per-core counters and may coincide
-        # across unrelated graphs, so the core must match too.
-        return probe.base_core is self._view() and probe.base_version == self._version
-
-    def _probe(self, query: EntangledQuery, include_self: bool) -> ArrivalProbe:
-        core = self._view()
-        name = query.name
-        if name in core.queries:
-            from ..errors import MalformedQueryError
-
-            raise MalformedQueryError(f"duplicate query name {name!r}")
-        core.ensure_indexes()
-        posts, heads = query.atom_patterns()
-        self_edges = query.self_edges() if include_self else ()
-        # An index entry is live only if it was added under its query's
-        # current admission token: entries of dropped queries stay in
-        # the buckets, and a re-admitted name (an unrelated query, or
-        # the same query object again, whose memoized patterns are the
-        # very objects its stale entries hold) has a new token.
-        tokens = core.tokens
-        new_edges: List[ExtendedEdge] = []
-
-        # The newcomer's postconditions against every existing head,
-        # plus (optionally) its own heads — which are not yet indexed.
-        # Atoms of two queries share no variable once standardised
-        # apart, so for two linear atoms the index's pattern test is
-        # the unifier's answer; otherwise the unifier decides.
-        for pi, post in enumerate(posts):
-            for target, hi, head, token in core.head_index.matches(post):
-                if tokens.get(target) != token:
-                    continue
-                if (post.linear and head.linear) or unifiable(
-                    post.atom.rename(name), head.atom.rename(target)
-                ):
-                    new_edges.append(ExtendedEdge(name, pi, target, hi))
-            for self_pi, hi in self_edges:
-                if self_pi == pi:
-                    new_edges.append(ExtendedEdge(name, pi, name, hi))
-
-        # Existing postconditions against the newcomer's heads.
-        for hi, head in enumerate(heads):
-            for source, pi, post, token in core.post_index.matches(head):
-                if tokens.get(source) != token:
-                    continue
-                if (post.linear and head.linear) or unifiable(
-                    post.atom.rename(source), head.atom.rename(name)
-                ):
-                    new_edges.append(ExtendedEdge(source, pi, name, hi))
-
-        # Safety delta (Definition 2): the set stays safe iff no
-        # postcondition — old or new — ends up with more than one
-        # matching head.  Only the new edges can raise a count.
-        delta: Dict[Tuple[str, int], int] = {}
-        for edge in new_edges:
-            key = (edge.source, edge.post_index)
-            delta[key] = delta.get(key, 0) + 1
-        violations = tuple(
-            (name, pi, total)
-            for (name, pi), added in sorted(delta.items())
-            if (total := core.fanout.get((name, pi), 0) + added) > 1
-        )
-        return ArrivalProbe(query, tuple(new_edges), violations, self._version, core)
-
-    def with_arrival(self, probe: ArrivalProbe) -> "CoordinationGraph":
-        """Commit a probed arrival; returns the extended graph.
-
-        On the tip of an extension chain this appends to the shared
-        core in O(new edges); the receiver keeps answering reads with
-        its pre-arrival state.  A probe taken from a different graph
-        state is recomputed (probes are cheap and side-effect free).
-        """
-        if not self._probed_here(probe):
-            probe = self.probe(probe.query)
-        core = self._core
-        query = probe.query
-        name = query.name
-        core.version += 1
-        token = core.version
-        core.queries[name] = query
-        core.tokens[name] = token
-        core.digraph.add_node(name)
-        core.out_edges.setdefault(name, [])
-        core.in_edges.setdefault(name, [])
-        if core.head_index is not None:
-            posts, heads = query.atom_patterns()
-            for hi, head in enumerate(heads):
-                core.head_index.add(name, hi, head, token)
-            for pi, post in enumerate(posts):
-                core.post_index.add(name, pi, post, token)
-        for edge in probe.new_edges:
-            core._append_edge(edge)
-        if core.alive is not None:
-            support = core.support
-            for pi in range(len(query.postconditions)):
-                support[(name, pi)] = 0
-            for edge in probe.new_edges:
-                if edge.target in core.alive:
-                    support[(edge.source, edge.post_index)] += 1
-            core.revive(name)
-        return CoordinationGraph(core, core.version)
-
-    def with_query(self, query: EntangledQuery) -> "CoordinationGraph":
-        """Incrementally extend the graph with one new query.
-
-        Computes only the edges incident to the newcomer — its
-        postconditions against all existing heads (via the head index)
-        and every existing postcondition against its heads (via the
-        postcondition index) — so an online arrival costs O(candidate
-        pairs), not a full rebuild.  The receiver keeps its own state;
-        structure is shared with the result (copied lazily only if the
-        receiver is read or extended again).
-        """
-        return self.with_arrival(self.probe(query))
-
-    # ------------------------------------------------------------------
-    # Destructive mutation (the engine's satisfied-set removal path)
-    # ------------------------------------------------------------------
-    def discard_queries(self, names: Iterable[str]) -> None:
-        """Remove queries and their incident edges, **in place**.
-
-        O(removed queries + their incident edges), amortized over index
-        compaction.  This is the mutable fast path for the online
-        engine, which deletes a whole satisfied component per arrival;
-        other graphs attached to the shared core are detached first and
-        keep their pre-removal snapshots.  Unknown names are ignored.
-        """
-        core = self._view()
-        dropped = [n for n in names if n in core.queries]
-        if not dropped:
-            return
-        self._detach_others(core)
-        dropped_set = set(dropped)
-        if core.alive is not None:
-            # Deletions only shrink the fixpoint: the dropped heads stop
-            # supporting, and queries left unsupported cascade out.
-            was_alive = [name for name in dropped if name in core.alive]
-            core.alive.difference_update(dropped_set)
-            stuck: List[str] = []
-            for name in was_alive:
-                for edge in core.in_edges[name]:
-                    key = (edge.source, edge.post_index)
-                    core.support[key] -= 1
-                    if not core.support[key] and edge.source in core.alive:
-                        stuck.append(edge.source)
-            core.drop_unsupported(stuck)
-        for name in dropped:
-            query = core.queries[name]
-            # Kill incident edges.  Out-edges of the dropped query also
-            # release their (name, post_index) fanout bookkeeping; live
-            # in-edges from surviving sources decrement their post's
-            # head-match count.
-            for edge in core.out_edges.pop(name, ()):
-                self._kill_edge(core, edge)
-                if edge.target not in dropped_set and edge.target != name:
-                    core.in_edges[edge.target].remove(edge)
-            for edge in core.in_edges.pop(name, ()):
-                if edge.source in dropped_set or edge.source == name:
-                    continue  # killed (or to be killed) via the source side
-                self._kill_edge(core, edge)
-                core.out_edges[edge.source].remove(edge)
-            for pi in range(len(query.postconditions)):
-                core.fanout.pop((name, pi), None)
-                core.out_by_post.pop((name, pi), None)
-                if core.support is not None:
-                    del core.support[(name, pi)]
-            if core.head_index is not None:
-                core.head_index.mark_dead(len(query.head))
-                core.post_index.mark_dead(len(query.postconditions))
-            core.digraph.remove_node(name)
-            del core.queries[name]
-            del core.tokens[name]
-        core.compact_edges_if_needed()
-        core.compact_indexes_if_needed()
-        core.version += 1
-        self._version = core.version
-        self._n_queries = len(core.queries)
-        self._n_edges = len(core.edges)
-
-    @staticmethod
-    def _kill_edge(core: _GraphCore, edge: ExtendedEdge) -> None:
-        position = core.edge_pos.pop(edge)
-        core.edges[position] = None
-        core.dead_edges += 1
-        key = (edge.source, edge.post_index)
-        remaining = core.fanout.get(key)
-        if remaining is not None:
-            if remaining <= 1:
-                core.fanout.pop(key, None)
-                core.out_by_post.pop(key, None)
-            else:
-                core.fanout[key] = remaining - 1
-                core.out_by_post[key].remove(edge)
-
-    # ------------------------------------------------------------------
-    # View maintenance
-    # ------------------------------------------------------------------
-    def _view(self) -> _GraphCore:
-        """The core, detaching first if the chain moved past us."""
-        if self._version != self._core.version:
-            self._detach()
-        return self._core
-
-    def _detach(self) -> None:
-        """Rebuild a private core from this graph's recorded prefix.
-
-        Valid because the shared core is append-only between
-        destructive operations, and destructive operations detach all
-        bystanders before mutating.
-        """
-        old = self._core
-        old.attached.discard(self)
-        queries = dict(islice(old.queries.items(), self._n_queries))
-        edges = [e for e in old.edges[: self._n_edges] if e is not None]
-        core = _GraphCore.from_parts(queries, edges)
-        self._core = core
-        self._version = core.version
-        self._n_queries = len(queries)
-        self._n_edges = len(core.edges)
-        core.attached.add(self)
-
-    def _detach_others(self, core: _GraphCore) -> None:
-        for graph in list(core.attached):
-            if graph is not self:
-                graph._detach()
-
-    def alias(self) -> "CoordinationGraph":
-        """A distinct graph object viewing the same state, O(1).
-
-        The alias shares the core until either side mutates: an
-        extension leaves the alias on its pre-extension prefix (it
-        detaches on first read, as any bystander of the chain does),
-        and a destructive :meth:`discard_queries` on the original
-        detaches the alias *first*, so it keeps its pre-removal
-        snapshot.  This is how the engine hands out ``graph()`` views
-        that stay stable across arrivals *and* deletions while its own
-        private handle keeps the mutable fast path.
-        """
-        return CoordinationGraph(self._view(), self._version)
-
-    def same_view(self, other: Optional["CoordinationGraph"]) -> bool:
-        """``True`` when ``other`` currently reads the same graph state
-        (same core, same version) — i.e. an alias of the receiver that
-        has not been left behind by a mutation."""
-        return (
-            other is not None
-            and other._core is self._core
-            and other._version == self._version
-        )
-
-    # ------------------------------------------------------------------
-    # Read surface
-    # ------------------------------------------------------------------
-    @property
-    def queries(self) -> Dict[str, EntangledQuery]:
-        """Original queries by name.
-
-        A read-only *live view*: it reflects this graph's state at each
-        access, so hold the graph object — not this dict — across
-        arrivals (snapshot with ``dict(graph.queries)`` if needed).
-        """
-        return self._view().queries
-
-    @property
-    def standardized(self) -> Mapping:
-        """The same queries with variables namespaced by query name; all
-        unification in the evaluation layers happens on these.  A
-        read-only live view over :attr:`queries` that returns each
-        query's memoized
-        :meth:`~repro.core.query.EntangledQuery.standardized` copy, so
-        reading a query here standardizes it if nothing had yet."""
-        return _StandardizedView(self._view().queries)
-
-    @property
-    def extended_edges(self) -> List[ExtendedEdge]:
-        """All labelled edges of the extended coordination graph (a
-        fresh list on every access; safe to hold)."""
-        core = self._view()
-        return [e for e in core.edges if e is not None]
-
-    @property
-    def graph(self) -> DiGraph:
-        """The collapsed coordination graph over query names."""
-        return self._view().digraph
-
-    def edges_from_postcondition(self, query: str, post_index: int) -> List[ExtendedEdge]:
-        """All extended edges emanating from one postcondition atom."""
-        return list(self._view().out_by_post.get((query, post_index), ()))
-
-    def post_atom(self, edge: ExtendedEdge) -> Atom:
-        """The (standardised) postcondition atom of an edge."""
-        query = self._view().queries[edge.source]
-        return query.standardized().postconditions[edge.post_index]
-
-    def head_atom(self, edge: ExtendedEdge) -> Atom:
-        """The (standardised) head atom of an edge."""
-        return self._view().queries[edge.target].standardized().head[edge.head_index]
-
-    def names(self) -> Tuple[str, ...]:
-        """All query names."""
-        return tuple(self._view().queries)
-
-    def restricted_to(self, names: Iterable[str]) -> "CoordinationGraph":
-        """The coordination graph induced on a subset of queries.
-
-        Uses the per-node incident-edge adjacency, so the cost is
-        O(kept queries + their incident edges), independent of the
-        total pending-set size.  Unknown names are ignored.  The result
-        owns an independent core.  An evaluation reads a
-        :meth:`snapshot` instead, which copies only what the SCC pass
-        needs.
-        """
-        core = self._view()
-        keep = [n for n in dict.fromkeys(names) if n in core.queries]
-        keep_set = set(keep)
-        queries = {n: core.queries[n] for n in keep}
-        edges = [
-            edge
-            for n in keep
-            for edge in core.out_edges.get(n, ())
-            if edge.target in keep_set
-        ]
-        sub = _GraphCore.from_parts(queries, edges)
-        return CoordinationGraph(sub, sub.version)
-
-    def snapshot(self, names: Iterable[str]) -> AdjacencySnapshot:
-        """What the SCC pass reads of the subgraph ``names`` induces, in
-        one pass over their out-edges, with :meth:`restricted_to`'s node
-        order; unknown names are ignored.  Every kept query is
-        standardized here, so an evaluation that runs on the snapshot —
-        outside the engine lock — only reads the memoized copies."""
-        core = self._view()
-        queries = {n: core.queries[n] for n in names if n in core.queries}
-        successors: Dict[str, Set[str]] = {}
-        targets: Dict[str, Tuple[Optional[Tuple[str, int]], ...]] = {}
-        for name, query in queries.items():
-            query.standardized()
-            successors[name] = succ = set()
-            first: List[Optional[Tuple[str, int]]] = [None] * len(query.postconditions)
-            for edge in core.out_edges.get(name, ()):
-                target = edge.target
-                if target in queries:
-                    succ.add(target)
-                    if first[edge.post_index] is None:
-                        first[edge.post_index] = (target, edge.head_index)
-            targets[name] = tuple(first)
-        return AdjacencySnapshot(queries, successors, targets)
-
-    def live_survivors(self, names: Sequence[str]) -> Tuple[str, ...]:
-        """The members of ``names`` in the live preprocessing fixpoint,
-        in the order of ``names``.
-
-        The fixpoint is that of the whole graph, kept up to date by
-        every arrival and deletion (see the module docstring), so this
-        is one pass over ``names`` with no edge walked.  When ``names``
-        is closed under edges — a union of weak components, which is
-        what the online engine asks about — the result equals
-        ``survivors(names)[0]``.  The first call on a core builds the
-        fixpoint in O(graph + edges).  Unknown names are ignored.
-        """
-        core = self._view()
-        core.ensure_fixpoint()
-        live = core.alive
-        return tuple(name for name in names if name in live)
-
     def weak_components(self, names: Iterable[str]) -> List[Tuple[List[str], int]]:
         """Split ``names``, which must be closed under edges, into weak
         components with their collapsed-edge counts: one breadth-first
         search over collapsed successors and predecessors, O(names + edges)."""
-        digraph = self._view().digraph
+        digraph = self._digraph
         seen: Set[str] = set()
         groups: List[Tuple[List[str], int]] = []
         for start in names:
@@ -979,11 +800,10 @@ class CoordinationGraph:
         and the tests use it as the oracle of :meth:`live_survivors`,
         which the online engine reads instead.
         """
-        core = self._view()
-        keep = [n for n in dict.fromkeys(names) if n in core.queries]
+        queries = self._queries
+        keep = [n for n in dict.fromkeys(names) if n in queries]
         alive = set(keep)
-        queries = core.queries
-        out_by_post = core.out_by_post
+        out_by_post = self._out_by_post
         # Per postcondition, the heads it can use inside the subgraph.
         matches: Dict[Tuple[str, int], int] = {}
         worklist: List[str] = []
@@ -1001,7 +821,7 @@ class CoordinationGraph:
                 worklist.append(name)
 
         removed: List[str] = []
-        in_edges = core.in_edges
+        in_edges = self._in_edges
         while worklist:
             name = worklist.pop()
             if name not in alive:
@@ -1021,14 +841,13 @@ class CoordinationGraph:
         return tuple(n for n in keep if n in alive), tuple(removed)
 
     def safety_violations(self) -> Tuple[Tuple[str, int, int], ...]:
-        """Postconditions with more than one matching head, from the
-        incrementally maintained counts (O(violations), not O(posts))."""
-        core = self._view()
+        """Postconditions with more than one matching head, read off the
+        per-postcondition edge lists (O(postconditions with an edge))."""
         return tuple(
-            (name, pi, count)
-            for (name, pi), count in core.fanout.items()
-            if count > 1
+            (name, pi, len(edges))
+            for (name, pi), edges in self._out_by_post.items()
+            if len(edges) > 1
         )
 
     def __len__(self) -> int:
-        return len(self._view().queries)
+        return len(self._queries)

@@ -357,15 +357,15 @@ class CoordinationEngine:
         #: lock raises :class:`~repro.errors.ConcurrencyError` instead
         #: of corrupting state.
         self.lock = OwnedLock()
-        self._pending: Dict[str, EntangledQuery] = {}
-        self._graph: CoordinationGraph = CoordinationGraph.build([])
+        # The coordination graph of the pending pool; its ``queries``
+        # map, in admission order, is the pool.
+        self._graph = CoordinationGraph()
         self._components = UnionFind()
         self._component_states: Optional[_StateCache] = (
             _StateCache() if reuse_component_states else None
         )
         self._db_stamp = db.data_version()
         self._db_stamps = db.data_versions()
-        self._graph_view: Optional[CoordinationGraph] = None
         # The last incident_pending probe, offered to the next admission.
         self._routing_probe: Optional[ArrivalProbe] = None
         self._handles: Dict[str, QueryHandle] = {}
@@ -386,7 +386,7 @@ class CoordinationEngine:
 
     def pending(self) -> Tuple[str, ...]:
         """Names of queries currently waiting to coordinate."""
-        return tuple(self._pending)
+        return self._graph.names()
 
     def handle(self, name: str) -> Optional[QueryHandle]:
         """The live handle of a *pending* query (``None`` otherwise)."""
@@ -403,7 +403,7 @@ class CoordinationEngine:
         :data:`~repro.core.lifecycle.MAX_FINAL_STATES` names so a
         long-lived stream cannot grow it without bound).
         """
-        if name in self._pending:
+        if name in self._graph.queries:
             return QueryState.PENDING
         return self._final_states.get(name)
 
@@ -418,22 +418,16 @@ class CoordinationEngine:
         return callback
 
     def graph(self) -> CoordinationGraph:
-        """A snapshot view of the engine's coordination graph.
+        """A snapshot of the engine's coordination graph.
 
-        Returns an :meth:`~repro.core.coordination_graph.CoordinationGraph.alias`
-        of the engine's private graph, so the returned handle is stable
-        with respect to **all** later engine activity — arrivals extend
-        past it (it detaches onto its prefix on first read after the
-        chain moves), and deletions (``flush``/``retract``/satisfied
-        sets) detach it *before* mutating.  Calls between two engine
-        mutations share one alias object (they are views of identical
-        state), so holding views costs at most one O(graph) detach per
-        mutation that actually deletes, and none for pure arrivals
-        until the view is next read.
+        An independent copy
+        (:meth:`~repro.core.coordination_graph.CoordinationGraph.restricted_to`
+        the whole pending pool), so it stays as it was through all
+        later engine activity — arrivals, deletions (``flush``,
+        ``retract``, satisfied sets) — and mutating it does not reach
+        the engine.  Costs O(graph) per call.
         """
-        if not self._graph.same_view(self._graph_view):
-            self._graph_view = self._graph.alias()
-        return self._graph_view
+        return self._graph.restricted_to(self._graph.names())
 
     # ------------------------------------------------------------------
     # Lifecycle API
@@ -525,7 +519,7 @@ class CoordinationEngine:
         pending.
         """
         self._guard()
-        if name not in self._pending:
+        if name not in self._graph.queries:
             raise PreconditionError(f"query {name!r} is not pending")
         component = sorted(self._components.members(name))
         handle = self._handles[name]
@@ -596,12 +590,10 @@ class CoordinationEngine:
         O(component).
         """
         self._guard()
-        if name not in self._pending:
+        if name not in self._graph.queries:
             raise PreconditionError(f"query {name!r} is not pending")
         component = sorted(self._components.members(name))
         handles = [self._handles.pop(n) for n in component]
-        for member in component:
-            self._pending.pop(member)
         self._graph.discard_queries(component)
         self._components.discard_component(name)
         self._forget_states(set(component))
@@ -609,7 +601,7 @@ class CoordinationEngine:
 
     def component_of(self, name: str) -> Tuple[str, ...]:
         """The weak component of a pending query, sorted by name."""
-        if name not in self._pending:
+        if name not in self._graph.queries:
             raise PreconditionError(f"query {name!r} is not pending")
         return tuple(sorted(self._components.members(name)))
 
@@ -709,7 +701,7 @@ class CoordinationEngine:
         self, query: EntangledQuery, handle: Optional[QueryHandle] = None
     ) -> QueryHandle:
         """Probe, safety-check, and commit one arrival (no evaluation)."""
-        if query.name in self._pending:
+        if query.name in self._graph.queries:
             raise PreconditionError(f"query {query.name!r} already pending")
         probe = self._graph.probe(query, reuse=self._routing_probe)
         self._routing_probe = None
@@ -721,8 +713,7 @@ class CoordinationEngine:
                 f"arrival {query.name!r} makes the set unsafe "
                 f"(unsafe queries: {probe.unsafe_queries()})"
             )
-        self._graph = self._graph.with_arrival(probe)
-        self._pending[query.name] = query
+        self._graph.with_arrival(probe)
         # Every new edge touches the newcomer, so each distinct pair is
         # a collapsed edge no component had; the unions sum the counts.
         pairs = {edge.endpoints() for edge in probe.new_edges}
@@ -844,9 +835,8 @@ class CoordinationEngine:
         the shared O(component) deletion path of retirement and
         retraction."""
         for name in removed:
-            self._pending.pop(name, None)
             self._handles.pop(name, None)
-        self._graph.discard_queries(tuple(removed))
+        self._graph.discard_queries(removed)
         # The removed set lives entirely inside one weak component;
         # union-find cannot split, so the component is replaced by the
         # weak components its survivors form in the graph.
@@ -873,7 +863,7 @@ class CoordinationEngine:
         )
         # A rejected *duplicate* must not shadow the still-pending
         # query of the same name in the status record.
-        if handle.query not in self._pending:
+        if handle.query not in self._graph.queries:
             record_final_state(self._final_states, handle.query, state)
         for callback in self._resolution_callbacks:
             callback(handle)

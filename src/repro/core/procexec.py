@@ -128,7 +128,7 @@ class ProcessShardExecutor(ShardProxy):
     """Router-side proxy for one shard engine hosted in a child process.
 
     The generic proxy protocol — engine surface, two-lane request
-    serialization, write-token-gated replica sync, handle mirroring,
+    serialization, replica sync by stamp diff, handle mirroring,
     death handling, the graceful stop — lives in
     :class:`~repro.core.transport.ShardProxy`; this class supplies the
     socket pairs and the process lifecycle.
@@ -169,7 +169,6 @@ class ProcessShardExecutor(ShardProxy):
             child_main.close()
             if child_control is not None:
                 child_control.close()
-        # Register the write listener only after the spawn succeeded.
         super().__init__(
             db,
             index,

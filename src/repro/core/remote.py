@@ -27,8 +27,7 @@ this module adds the listener, the handshake and the address:
   shard's, so the first ``sync=True`` command ships the authoritative
   database as one bulk :func:`~repro.db.wire.build_sync` snapshot and a
   shard joining mid-stream starts from current state.  Steady-state
-  sync is the usual write-token-gated stamp diff, with tombstone
-  tails.
+  sync is the usual stamp diff, with tombstone tails.
 
 Failover is the service's job, not this module's: the proxy reports
 death through the seam's :attr:`~repro.core.transport.ShardProxy.on_death`

@@ -835,11 +835,11 @@ class ShardedCoordinationService:
         write must not overtake evaluations admitted before it: this
         call barriers behind *all* outstanding evaluations (worker
         mode), then performs the insert, linearized under the router
-        lock.  The insert lands in the authoritative store, whose write
-        listener invalidates the hosted shards' replicas (they re-sync
-        with their next ``evaluate``/``flush`` command).  Direct
-        ``db.insert`` calls still invalidate replicas but bypass the
-        barrier, so they are only stream-equivalent in serial mode.
+        lock.  The insert lands in the authoritative store, and hosted
+        shards' replicas pick it up by stamp diff with their next
+        ``evaluate``/``flush`` command.  Direct ``db.insert`` calls
+        reach replicas the same way but bypass the barrier, so they are
+        only stream-equivalent in serial mode.
         """
         with self._router:
             self._check_open()
@@ -1733,10 +1733,9 @@ class ShardedCoordinationService:
         Unlike the strict replica path (:func:`repro.db.wire.apply_sync`)
         this tolerates a pre-populated authoritative database: relation
         inserts are set-semantics, so re-applying rows the caller
-        already seeded is a no-op, and going through the facade keeps
-        replica invalidation (write listeners) working.  Integrity is
-        the frame CRC's job, not a stamp cross-check against a database
-        the snapshot never promised to match.
+        already seeded is a no-op.  Integrity is the frame CRC's job,
+        not a stamp cross-check against a database the snapshot never
+        promised to match.
         """
         from ..db.storage import Tombstone
 

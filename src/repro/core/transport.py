@@ -18,8 +18,8 @@ This module is everything else, split in half:
   and their round trip: the engine-surface methods encoded as framed
   commands, the two-lane request serialization (main lane for
   ``evaluate``/``flush`` and everything that resolves handles; control
-  lane for probes and migration bookkeeping), write-token-gated
-  replica sync piggybacked on evaluation commands, router-side
+  lane for probes and migration bookkeeping), replica sync by stamp
+  diff piggybacked on evaluation commands, router-side
   :class:`~repro.core.lifecycle.QueryHandle` mirroring from resolution
   records, death handling with the :attr:`ShardProxy.on_death`
   failover hook, and the graceful half of :meth:`ShardProxy.stop`.  A
@@ -341,11 +341,13 @@ class ShardProxy:
     side; the worker's private handles never cross the boundary (their
     resolutions do, as records).
 
-    Replica sync is write-token gated: a listener on the authoritative
-    database bumps the token on every facade write, and the next
-    ``evaluate``/``flush`` command whose token moved carries a
-    :func:`repro.db.wire.build_sync` payload of the changed relations'
-    mutation-log tails.
+    Replica sync diffs stamps: every ``evaluate``/``flush`` command
+    compares the authoritative database's per-relation write epochs
+    with the ones the replica acknowledged
+    (:func:`repro.db.wire.build_sync`), and carries the changed
+    relations' mutation-log tails when any moved.  The epochs see every
+    write, through the facade or directly on a
+    :class:`~repro.db.storage.Relation` handle.
 
     The proxy takes its lanes already connected: ``main``, and
     ``control`` or ``None`` (then control commands ride the main
@@ -379,9 +381,6 @@ class ShardProxy:
         #: until the next state-changing command (components can merge).
         self._component_hint: Dict[str, Tuple[str, ...]] = {}
         self._stamps: Dict[str, int] = {}
-        self._token = 0
-        self._synced_token = -1
-        self._token_mutex = threading.Lock()
         self._dead: Optional[str] = None
         self._stopped = False
         # Serializes the death transition: several threads can observe
@@ -396,8 +395,6 @@ class ShardProxy:
         #: Either way the observing call still raises
         #: :class:`~repro.errors.ConcurrencyError`.
         self.on_death: Optional[DeathHook] = None
-        self._listener = self._note_write
-        db.add_write_listener(self._listener)
 
     # ------------------------------------------------------------------
     # Transport
@@ -430,7 +427,6 @@ class ShardProxy:
         unbounded wait.  Returns ``True`` when the worker is gone on
         return.
         """
-        self.db.remove_write_listener(self._listener)
         deadline = Deadline(timeout)
         if not self._stopped and self._dead is None:
             remaining = deadline.remaining()
@@ -448,13 +444,6 @@ class ShardProxy:
         if self._control is not None:
             self._control.close()
         return self._teardown(deadline)
-
-    # ------------------------------------------------------------------
-    # Invalidation (authoritative-store write listener)
-    # ------------------------------------------------------------------
-    def _note_write(self) -> None:
-        with self._token_mutex:
-            self._token += 1
 
     # ------------------------------------------------------------------
     # Introspection / local state
@@ -612,15 +601,9 @@ class ShardProxy:
         with self._io:
             self._check_alive()
             if sync:
-                # Token before stamp walk (a write landing mid-build
-                # leaves the recorded token stale, so the next command
-                # re-syncs — never the reverse).
-                token = self._token
-                if token != self._synced_token:
-                    payload, self._stamps = wire.build_sync(self.db, self._stamps)
-                    if payload is not None:
-                        message["sync"] = payload
-                    self._synced_token = token
+                payload, self._stamps = wire.build_sync(self.db, self._stamps)
+                if payload is not None:
+                    message["sync"] = payload
             try:
                 reply = wire.loads(self._transact(wire.dumps(message)))
             except (EOFError, OSError) as error:

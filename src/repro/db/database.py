@@ -95,17 +95,12 @@ class Database:
         #: engine counters in :attr:`stats` are deliberately outside
         #: it — under concurrent readers they are best-effort tallies.
         self.rw = RWLock() if synchronized else NullRWLock()
-        # Write listeners: called (outside the lock) after every
-        # facade-level mutation — inserts that changed data and DDL.
-        # Hosted-shard proxies register here so a write anywhere
-        # invalidates every replica's sync fast path; mutations performed
-        # directly on a Relation handle bypass them, exactly as they
-        # bypass the facade's counters.
-        self._write_listeners: List[Callable[[], None]] = []
-        # Mutation listeners: like write listeners, but called with a
-        # structured MutationEvent describing *what* changed — the
-        # durability subsystem's WAL tap.  Kept separate so the
-        # zero-argument invalidation path stays allocation-free.
+        # Mutation listeners: called (outside the lock) after every
+        # facade-level mutation that changed data, and after DDL, with a
+        # MutationEvent describing what changed — the durability
+        # subsystem's WAL tap.  Mutations performed directly on a
+        # Relation handle bypass them, as they bypass the facade's
+        # counters.
         self._mutation_listeners: List[Callable[[MutationEvent], None]] = []
 
     # ------------------------------------------------------------------
@@ -125,10 +120,8 @@ class Database:
 
         Also the replica-sync path: a replica attaches the schemas a
         sync payload carries (:func:`repro.db.wire.apply_sync`).
-        Fires write listeners like any DDL — a new relation must reach
-        the hosted shards' sync tokens no matter which declaration path
-        created it (on a replica the notify is a no-op: replicas have
-        no listeners).
+        Fires mutation listeners like any DDL, whichever declaration
+        path created the relation (a replica has none).
         """
         with self.rw.write():
             self.schema.add(relation_schema)
@@ -136,7 +129,6 @@ class Database:
             store.stats = self.stats
             store.composites_enabled = self.composite_indexes_enabled
             self._relations[relation_schema.name] = store
-        self._notify_write()
         self._notify_mutation(("create_relation", relation_schema))
         return store
 
@@ -159,7 +151,6 @@ class Database:
             inserted = self.relation(name).insert(row)
         if inserted:
             self.stats.inserts += 1
-            self._notify_write()
             self._notify_mutation(("insert", name, (row,)))
         return inserted
 
@@ -179,10 +170,8 @@ class Database:
             with self.rw.write():
                 count = self.relation(name).insert_many(rows)
         self.stats.inserts += count
-        if count:
-            self._notify_write()
-            if added:
-                self._notify_mutation(("insert", name, added))
+        if added:
+            self._notify_mutation(("insert", name, added))
         return count
 
     def delete(self, name: str, row: Iterable[Hashable]) -> bool:
@@ -190,37 +179,15 @@ class Database:
 
         Set semantics mirror :meth:`insert`: deleting an absent row is
         an idempotent no-op that fires no listeners.  A successful
-        delete notifies write listeners (replica invalidation) and
-        mutation listeners (the WAL tap) with a
+        delete notifies mutation listeners (the WAL tap) with a
         ``("delete", name, (row,))`` event, exactly like an insert.
         """
         row = tuple(row)
         with self.rw.write():
             deleted = self.relation(name).delete(row)
         if deleted:
-            self._notify_write()
             self._notify_mutation(("delete", name, (row,)))
         return deleted
-
-    def add_write_listener(self, listener: Callable[[], None]) -> None:
-        """Register a zero-argument callable fired after facade writes.
-
-        Fired after :meth:`insert`/:meth:`insert_many` calls that
-        changed data and after :meth:`create_relation`, outside the
-        instance lock.  Listeners must be cheap and idempotent (a
-        hosted-shard proxy bumps a sync token); detach with
-        :meth:`remove_write_listener` when the registrant's lifetime is
-        shorter than the database's — a registered listener pins its
-        closure until removed.
-        """
-        self._write_listeners.append(listener)
-
-    def remove_write_listener(self, listener: Callable[[], None]) -> None:
-        """Detach a write listener; a no-op when it is not registered."""
-        try:
-            self._write_listeners.remove(listener)
-        except ValueError:
-            pass
 
     def add_mutation_listener(
         self, listener: Callable[[MutationEvent], None]
@@ -228,11 +195,9 @@ class Database:
         """Register a listener fired with a :data:`MutationEvent` after
         facade writes that changed data and after DDL.
 
-        The structured sibling of :meth:`add_write_listener`: the
-        durability subsystem registers here to journal every mutation's
-        *content* (relation, rows, schemas), not merely the fact that
-        one happened.  Fired outside the instance lock, after the write
-        listeners; events are stream-ordered only while writes are
+        The durability subsystem registers here to journal every
+        mutation's *content* (relation, rows, schemas).  Fired outside
+        the instance lock; events are stream-ordered only while writes are
         serialized (single writer, or the service's router-linearized
         :meth:`~repro.core.service.ShardedCoordinationService.insert`).
         Detach with :meth:`remove_mutation_listener`.
@@ -248,16 +213,10 @@ class Database:
         except ValueError:
             pass
 
-    def _notify_write(self) -> None:
-        if not self._write_listeners:
-            return
-        # Snapshot: a listener may detach itself mid-notification.
-        for listener in list(self._write_listeners):
-            listener()
-
     def _notify_mutation(self, event: MutationEvent) -> None:
         if not self._mutation_listeners:
             return
+        # Snapshot: a listener may detach itself mid-notification.
         for listener in list(self._mutation_listeners):
             listener(event)
 

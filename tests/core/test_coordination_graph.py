@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import CoordinationGraph, parse_queries
+from repro.core.coordination_graph import ExtendedEdge
 from repro.errors import MalformedQueryError
 from repro.workloads import expected_coordination_edges, vacation_queries
 
@@ -50,12 +51,13 @@ class TestConstruction:
         # position 1 vs 2 clashes; P(y,3)? 1 vs 3 clashes).
         assert graph.edges_from_postcondition("a", 0) == []
 
-    def test_self_edges_controlled_by_flag(self):
+    def test_self_edges_included(self):
+        # The paper quantifies over every head atom of Q, the query's
+        # own included.
         queries = parse_queries("a: {P(x)} P(y) :- T(x), T(y)")
-        with_self = CoordinationGraph.build(queries, include_self_edges=True)
-        without = CoordinationGraph.build(queries, include_self_edges=False)
-        assert with_self.graph.has_edge("a", "a")
-        assert not without.graph.has_edge("a", "a")
+        graph = CoordinationGraph.build(queries)
+        assert graph.graph.has_edge("a", "a")
+        assert graph.edges_from_postcondition("a", 0) == [ExtendedEdge("a", 0, "a", 0)]
 
     def test_duplicate_names_rejected(self):
         queries = parse_queries("a: {} P(x) :- T(x)") * 2

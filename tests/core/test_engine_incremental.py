@@ -206,8 +206,10 @@ def test_incremental_engine_matches_reference(seed, reuse_states):
 
         # The incrementally maintained graph must equal a from-scratch
         # rebuild of the surviving pending set, and agree on safety.
+        # Read the engine's own graph: the graph() copy is rebuilt from
+        # its out-edges and would hide a stale edge or index.
         rebuilt = reference.graph()
-        live = engine.graph()
+        live = engine._graph
         assert set(live.names()) == set(rebuilt.names())
         assert _edge_multiset(live) == _edge_multiset(rebuilt)
         assert _collapsed(live) == _collapsed(rebuilt)
@@ -317,7 +319,7 @@ def test_unsafe_rejection_leaves_no_trace():
 def _assert_equivalent(engine: CoordinationEngine, reference: ReferenceEngine):
     """Engine state must equal a from-scratch rebuild of the pending set."""
     rebuilt = reference.graph()
-    live = engine.graph()
+    live = engine._graph
     assert set(live.names()) == set(rebuilt.names())
     assert _edge_multiset(live) == _edge_multiset(rebuilt)
     assert _collapsed(live) == _collapsed(rebuilt)
@@ -464,7 +466,7 @@ def test_retract_then_resubmit_name_reuse(reuse_states):
 
 def test_retraction_path_is_in_place():
     """Retraction must not rebuild the graph or the union-find: the
-    engine keeps the same mutable core and forest objects, and only the
+    engine keeps the same mutable graph and forest objects, and only the
     retracted component is re-split."""
     db = members_database(size=DB_SIZE, seed=2012)
     engine = CoordinationEngine(db)
@@ -475,13 +477,13 @@ def test_retraction_path_is_in_place():
     engine.submit(partner_query(c, [member_name(35)]))  # keeps chain waiting
     engine.submit(partner_query(d, [e]))
 
-    core_before = engine._graph._core
+    graph_before = engine._graph
     forest_before = engine._components
     unrelated_before = engine.component_of(d)
 
     engine.retract(b)
 
-    assert engine._graph._core is core_before, "graph was rebuilt"
+    assert engine._graph is graph_before, "graph was rebuilt"
     assert engine._components is forest_before, "union-find was rebuilt"
     # The chain split into {a} and {c}; the unrelated pair is untouched.
     assert engine.component_of(a) == (a,)
@@ -929,9 +931,9 @@ def probe_calls(monkeypatch):
     calls = []
     probe = CoordinationGraph._probe
 
-    def counting(graph, query, include_self):
+    def counting(graph, query):
         calls.append(query.name)
-        return probe(graph, query, include_self)
+        return probe(graph, query)
 
     monkeypatch.setattr(CoordinationGraph, "_probe", counting)
     return calls

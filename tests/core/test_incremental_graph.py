@@ -1,14 +1,18 @@
 """Property tests: incremental graph maintenance equals batch building.
 
-``CoordinationGraph.with_query`` must produce, arrival by arrival,
-exactly the graph that ``CoordinationGraph.build`` produces on the
-whole set — same collapsed edges, same extended edge multiset, same
-safety verdicts.  Exercised with the deterministic paper workloads and
-with hypothesis-generated random partner structures.
+Arrivals committed one at a time with ``CoordinationGraph.probe`` and
+``with_arrival`` must produce exactly the graph that
+``CoordinationGraph.build`` produces on the whole set — same collapsed
+edges, same extended edge multiset, same safety verdicts.  Exercised
+with the deterministic paper workloads and with hypothesis-generated
+random partner structures.
 
 Both sides of that comparison run the same arrival probe, so the probe
 itself is checked against a brute-force reference that unifies every
-pair of standardized atoms (:class:`TestProbeAgainstBruteForce`).
+pair of standardized atoms (:class:`TestProbeAgainstBruteForce`).  The
+one mutable graph, driven through a random stream of arrivals and
+deletions, is compared with a rebuild after every step, indexes and
+live fixpoint included (:class:`TestMutableGraphAgainstRebuild`).
 """
 
 from collections import Counter
@@ -25,11 +29,12 @@ from repro.networks import member_name
 from repro.workloads import partner_query, vacation_queries
 
 
+def _edge_key(edge: ExtendedEdge):
+    return (edge.source, edge.post_index, edge.target, edge.head_index)
+
+
 def _edge_multiset(graph: CoordinationGraph):
-    return sorted(
-        (e.source, e.post_index, e.target, e.head_index)
-        for e in graph.extended_edges
-    )
+    return sorted(map(_edge_key, graph.extended_edges))
 
 
 def _collapsed(graph: CoordinationGraph):
@@ -38,63 +43,54 @@ def _collapsed(graph: CoordinationGraph):
     }
 
 
+def _arrive(graph: CoordinationGraph, query: EntangledQuery) -> None:
+    graph.with_arrival(graph.probe(query))
+
+
+def _arrived(queries) -> CoordinationGraph:
+    graph = CoordinationGraph()
+    for query in queries:
+        _arrive(graph, query)
+    return graph
+
+
 class TestDeterministicWorkloads:
     def test_vacation_queries_incremental(self):
         queries = vacation_queries()
         batch = CoordinationGraph.build(queries)
-        incremental = CoordinationGraph.build([])
-        for query in queries:
-            incremental = incremental.with_query(query)
+        incremental = _arrived(queries)
         assert _edge_multiset(incremental) == _edge_multiset(batch)
         assert _collapsed(incremental) == _collapsed(batch)
 
     def test_order_does_not_matter(self):
         queries = vacation_queries()
-        forward = CoordinationGraph.build([])
-        for query in queries:
-            forward = forward.with_query(query)
-        backward = CoordinationGraph.build([])
-        for query in reversed(queries):
-            backward = backward.with_query(query)
+        forward = _arrived(queries)
+        backward = _arrived(reversed(queries))
         assert _edge_multiset(forward) == _edge_multiset(backward)
 
     def test_duplicate_rejected(self):
         queries = vacation_queries()
         graph = CoordinationGraph.build(queries)
         with pytest.raises(MalformedQueryError):
-            graph.with_query(queries[0])
+            graph.probe(queries[0])
 
-    def test_receiver_not_mutated(self):
+    def test_arrival_commits_in_place(self):
+        # with_arrival extends the receiver and returns nothing; a probe
+        # taken before a later mutation is recomputed on commit.
         queries = vacation_queries()
-        base = CoordinationGraph.build(queries[:2])
-        before_edges = _edge_multiset(base)
-        base.with_query(queries[2])
-        assert _edge_multiset(base) == before_edges
-        assert set(base.names()) == {"qC", "qG"}
-
-    def test_branching_from_same_base(self):
-        # Two different extensions of one base must not interfere
-        # (the head index is copied, not shared).
-        queries = vacation_queries()
-        base = CoordinationGraph.build(queries[:2])
-        left = base.with_query(queries[2])   # + qJ
-        right = base.with_query(queries[3])  # + qW
-        assert "qW" not in left.names()
-        assert "qJ" not in right.names()
-        # left must have no edges touching qW and vice versa.
-        assert all(
-            e.source != "qW" and e.target != "qW" for e in left.extended_edges
-        )
-        assert all(
-            e.source != "qJ" and e.target != "qJ" for e in right.extended_edges
+        graph = CoordinationGraph.build(queries[:2])
+        stale = graph.probe(queries[3])  # qW, taken before qJ arrives
+        assert graph.with_arrival(graph.probe(queries[2])) is None
+        assert graph.names() == ("qC", "qG", "qJ")
+        graph.with_arrival(stale)
+        assert _edge_multiset(graph) == _edge_multiset(
+            CoordinationGraph.build(queries)
         )
 
     def test_safety_agrees(self):
         queries = vacation_queries()
         batch = CoordinationGraph.build(queries)
-        incremental = CoordinationGraph.build([])
-        for query in queries:
-            incremental = incremental.with_query(query)
+        incremental = _arrived(queries)
         assert (
             safety_report(incremental).is_safe == safety_report(batch).is_safe
         )
@@ -124,9 +120,7 @@ class TestRandomStructures:
             for i, partners in enumerate(partner_lists)
         ]
         batch = CoordinationGraph.build(queries)
-        incremental = CoordinationGraph.build([])
-        for query in queries:
-            incremental = incremental.with_query(query)
+        incremental = _arrived(queries)
         assert _edge_multiset(incremental) == _edge_multiset(batch)
         assert _collapsed(incremental) == _collapsed(batch)
 
@@ -255,10 +249,88 @@ class TestProbeAgainstBruteForce:
     )
     @settings(max_examples=150, deadline=None)
     def test_every_arrival_probes_like_brute_force(self, queries):
-        graph = CoordinationGraph.build([])
+        graph = CoordinationGraph()
         for query in queries:
             probe = graph.probe(query)
             assert (probe.new_edges, probe.violations) == _reference_probe(
                 graph, query
             )
-            graph = graph.with_arrival(probe)
+            graph.with_arrival(probe)
+
+
+# ---------------------------------------------------------------------------
+# The one mutable graph against a rebuild, through arrivals and deletions
+# ---------------------------------------------------------------------------
+@st.composite
+def _streams(draw):
+    """A pool of queries and a stream of steps over it: ``("arrive", i)``
+    admits the ``i``-th absent pool query (modulo their number; a
+    discarded query comes back as the same object), and
+    ``("discard", names)`` removes names that may repeat or be absent."""
+    pool = draw(_flat_query_sets())
+    names = [query.name for query in pool] + ["missing"]
+    step = st.one_of(
+        st.tuples(st.just("arrive"), st.integers(min_value=0, max_value=7)),
+        st.tuples(st.just("discard"), st.lists(st.sampled_from(names), max_size=4)),
+    )
+    return pool, draw(st.lists(step, max_size=24))
+
+
+def _by_key(mapping):
+    return {key: sorted(map(_edge_key, edges)) for key, edges in mapping.items()}
+
+
+def _assert_matches_rebuild(graph: CoordinationGraph, pool) -> None:
+    rebuilt = CoordinationGraph.build(graph.queries.values())
+    names = graph.names()
+    assert names == rebuilt.names()
+    assert _edge_multiset(graph) == _edge_multiset(rebuilt)
+    assert set(graph._out_edges) == set(graph._in_edges) == set(names)
+    assert _by_key(graph._out_edges) == _by_key(rebuilt._out_edges)
+    assert _by_key(graph._in_edges) == _by_key(rebuilt._in_edges)
+    assert _by_key(graph._out_by_post) == _by_key(rebuilt._out_by_post)
+    assert set(graph.graph.nodes()) == set(names)
+    for name in names:
+        assert graph.graph.successors(name) == rebuilt.graph.successors(name)
+        assert graph.graph.predecessors(name) == rebuilt.graph.predecessors(name)
+    assert sorted(graph.safety_violations()) == sorted(rebuilt.safety_violations())
+    alive = rebuilt.survivors(names)[0]
+    assert graph.live_survivors(names) == alive
+    assert graph._support == {
+        (name, pi): sum(
+            edge.target in alive for edge in rebuilt.edges_from_postcondition(name, pi)
+        )
+        for name, query in graph.queries.items()
+        for pi in range(len(query.postconditions))
+    }
+    for query in pool:
+        if query.name not in graph.queries:
+            live, fresh = graph.probe(query), rebuilt.probe(query)
+            assert sorted(map(_edge_key, live.new_edges)) == sorted(
+                map(_edge_key, fresh.new_edges)
+            )
+            assert live.violations == fresh.violations
+
+
+class TestMutableGraphAgainstRebuild:
+    @given(_streams())
+    @example(  # a repeated name is discarded once
+        (
+            [_q("q0", head=[Atom("R", [1])]), _q("q1", posts=[Atom("R", [_X])])],
+            [("arrive", 0), ("arrive", 0), ("discard", ["q0", "q0"]), ("arrive", 0)],
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_step_matches_a_rebuild(self, stream):
+        pool, steps = stream
+        graph = CoordinationGraph()
+        graph.live_survivors(())  # keep the fixpoint live from the start
+        for kind, argument in steps:
+            if kind == "arrive":
+                absent = [q for q in pool if q.name not in graph.queries]
+                if not absent:
+                    continue
+                _arrive(graph, absent[argument % len(absent)])
+            else:
+                graph.discard_queries(argument)
+            _assert_matches_rebuild(graph, pool)

@@ -230,7 +230,7 @@ class TestSubmitMany:
 
 
 class TestGraphSnapshotConsistency:
-    """Satellite: ``graph()`` views are stable across deletions too."""
+    """``graph()`` snapshots are stable across arrivals and deletions."""
 
     def _names_and_edges(self, graph):
         return set(graph.names()), sorted(
@@ -281,18 +281,17 @@ class TestGraphSnapshotConsistency:
         assert set(old.names()) == {"a"}
 
 
-class TestBookkeepingBounds:
-    def test_graph_views_are_shared_between_mutations(self, db):
+    def test_mutating_a_snapshot_leaves_the_engine_alone(self, db):
         engine = CoordinationEngine(db)
         engine.submit(parse_query("a: {P(x)} Q(x) :- Fl(x, 'Zurich')"))
-        first = engine.graph()
-        assert engine.graph() is first  # no per-call allocation
-        engine.submit(parse_query("b: {S(y)} T(y) :- Fl(y, 'Paris')"))
-        second = engine.graph()
-        assert second is not first
-        assert set(first.names()) == {"a"}  # old view kept its snapshot
-        assert set(second.names()) == {"a", "b"}
+        snapshot = engine.graph()
+        assert snapshot is not engine.graph()
+        snapshot.discard_queries(["a"])
+        assert engine.pending() == ("a",)
+        assert engine.graph().names() == ("a",)
 
+
+class TestBookkeepingBounds:
     def test_final_state_record_is_bounded(self):
         from repro.core.lifecycle import record_final_state
 

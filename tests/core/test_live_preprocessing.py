@@ -280,13 +280,12 @@ def assert_live_fixpoint(engine: CoordinationEngine) -> None:
         (frozenset(members), forest.edge_count(members[0]))
         for members in forest.components()
     } == _weak_components(graph)
-    core = graph._core
-    assert core.alive == set(expected)
-    assert core.support == {
+    assert graph._alive == set(expected)
+    assert graph._support == {
         (name, pi): sum(
             1
             for edge in graph.edges_from_postcondition(name, pi)
-            if edge.target in core.alive
+            if edge.target in graph._alive
         )
         for name in names
         for pi in range(len(graph.standardized[name].postconditions))

@@ -42,9 +42,11 @@ from repro.core import (
     QueryState,
     ServiceConfig,
     ShardedCoordinationService,
+    parse_queries,
+    parse_query,
 )
 from repro.core.procexec import START_METHOD_ENV
-from repro.db import wire
+from repro.db import DatabaseBuilder, wire
 from repro.errors import PreconditionError
 from repro.networks import member_name
 from repro.workloads import members_database, partner_query
@@ -510,16 +512,24 @@ def test_control_lane_off_probes_over_the_data_lane():
         assert service.drain(timeout=DRAIN_TIMEOUT)
 
 
-def test_close_detaches_every_replica_write_listener():
-    # Each hosted shard gates its replica sync on write notifications
-    # from the authoritative store; a closed service must leave none
-    # behind, so later writes to the database cost it nothing.
-    db = members_database(size=DB_SIZE, seed=2012)
-    service = process_service(db, shards=2)
-    assert len(db._write_listeners) == 2
-    service.close()
-    assert db._write_listeners == []
-    assert db.insert("Members", (member_name(1000), "r", "i", 1))
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_direct_relation_write_reaches_the_shard(executor):
+    # A row written straight into a Relation handle bypasses the
+    # facade; a process shard's replica must still see it, as a thread
+    # shard's engine does: replica sync diffs every relation's write
+    # epoch on every evaluation command.
+    db = DatabaseBuilder().table("F", ["id", "city"]).build()
+    config = ServiceConfig(executor=executor, shards=1)
+    with ShardedCoordinationService(db, config) as service:
+        for query in parse_queries(
+            "p: {Q(y)} P(y) :- F(y, 'Paris'); q: {P(z)} Q(z) :- F(z, 'Paris')"
+        ):
+            service.submit(query)  # the pair's evaluation carries the first sync
+        assert set(service.pending()) == {"p", "q"}
+        with db.rw.write():
+            db.relation("F").insert((1, "Zurich"))
+        handle = service.submit(parse_query("a: {} A(x) :- F(x, 'Zurich')"))
+        assert handle.state is QueryState.SATISFIED
 
 
 def test_process_executor_rejects_unserializable_configuration():

@@ -185,9 +185,9 @@ def test_admission_reuses_the_routing_probe_unless_a_migration_intervened(
     probed = []
     probe = CoordinationGraph._probe
 
-    def counting(graph, query, include_self):
+    def counting(graph, query):
         probed.append(query.name)
-        return probe(graph, query, include_self)
+        return probe(graph, query)
 
     monkeypatch.setattr(CoordinationGraph, "_probe", counting)
     db = members_database(size=DB_SIZE, seed=2012)

@@ -107,8 +107,8 @@ class TestConjunctiveQueryType:
         assert "F" in str(ConjunctiveQuery([Atom("F", [1])]))
 
 
-class TestWriteListeners:
-    """Hosted-shard proxies gate replica sync on these notifications."""
+class TestMutationListeners:
+    """The WAL tap: one event per facade write that changed data."""
 
     def _db(self):
         db = Database()
@@ -119,31 +119,35 @@ class TestWriteListeners:
     def test_fire_once_per_data_changing_facade_write(self):
         db = self._db()
         fired = []
-        db.add_write_listener(lambda: fired.append(1))
+        db.add_mutation_listener(fired.append)
         assert not db.insert("Flights", (1, "a"))  # duplicate: no change
         assert fired == []
         db.insert("Flights", (2, "b"))
-        db.insert_many("Flights", [(3, "c"), (4, "d")])  # one batch, one call
+        # One batch, one event, with only the rows it added.
+        db.insert_many("Flights", [(3, "c"), (1, "a"), (4, "d")])
         db.insert_many("Flights", [(3, "c")])  # all duplicates: no change
-        assert len(fired) == 2
         db.delete("Flights", (4, "d"))
         db.delete("Flights", (4, "d"))  # absent: no change
-        assert len(fired) == 3
+        assert fired == [
+            ("insert", "Flights", ((2, "b"),)),
+            ("insert", "Flights", ((3, "c"), (4, "d"))),
+            ("delete", "Flights", ((4, "d"),)),
+        ]
 
     def test_both_ddl_paths_fire(self):
         db = self._db()
         fired = []
-        db.add_write_listener(lambda: fired.append(1))
-        db.create_relation("Trains", ["trainId", "destination"])
-        db.attach_relation(RelationSchema("Boats", ["boatId", "destination"]))
-        assert len(fired) == 2
+        db.add_mutation_listener(fired.append)
+        trains = db.create_relation("Trains", ["trainId", "destination"]).schema
+        boats = RelationSchema("Boats", ["boatId", "destination"])
+        db.attach_relation(boats)
+        assert fired == [("create_relation", trains), ("create_relation", boats)]
 
     def test_removed_listener_stops_firing(self):
         db = self._db()
         fired = []
-        listener = lambda: fired.append(1)  # noqa: E731
-        db.add_write_listener(listener)
-        db.remove_write_listener(listener)
-        db.remove_write_listener(listener)  # idempotent
+        db.add_mutation_listener(fired.append)
+        db.remove_mutation_listener(fired.append)
+        db.remove_mutation_listener(fired.append)  # idempotent
         db.insert("Flights", (2, "b"))
         assert fired == []
