@@ -1,4 +1,4 @@
-"""Facts-scale evaluator latency: compiled plans + composite indexes vs
+"""Facts-scale evaluator latency: compiled plans + hash indexes vs
 the pre-PR evaluator.
 
 Every coordination decision bottoms out in conjunctive-query evaluation,
@@ -10,8 +10,8 @@ rows across the two query shapes that bracket the workload:
   (n = m² rows).  The second atom probes with *two* bound positions;
   the pre-PR evaluator serves that from the smallest single-column
   bucket (m rows) plus a residual filter, O(m) per candidate and O(n)
-  per query, while the composite hash index answers each probe with
-  one exact-match bucket lookup — O(m) per query.
+  per query, while the compiled plan decides the fully bound atom
+  with one row-set membership test — O(m) per query.
 
 * **star** — ``R0(x, c0) ∧ R1(x, c1) ∧ R2(x, c2)`` where the three
   attribute columns have cardinalities 8/64/4096.  All atoms look
@@ -67,20 +67,16 @@ _UNBOUND = object()
 
 def _seed_match(relation, bindings: Dict[int, Hashable]) -> Iterator[Tuple]:
     """The pre-composite-index ``Relation.match``: best single-column
-    bucket plus residual filter."""
-    rows = relation._rows
+    bucket plus residual filter (buckets hold the rows themselves)."""
     if not bindings:
-        return iter(rows)
+        return iter(relation._rows)
     if len(bindings) == 1:
         ((position, value),) = bindings.items()
-        hits = relation._index_for(position).get(value)
-        if not hits:
-            return iter(())
-        return map(rows.__getitem__, hits)
+        return iter(relation._index_for(position).get(value, ()))
 
     def filtered() -> Iterator[Tuple]:
         best_position = None
-        best_rows: Optional[List[int]] = None
+        best_rows: Optional[List[Tuple]] = None
         for position, value in bindings.items():
             bucket = relation._index_for(position).get(value, [])
             if best_rows is None or len(bucket) < len(best_rows):
@@ -88,8 +84,7 @@ def _seed_match(relation, bindings: Dict[int, Hashable]) -> Iterator[Tuple]:
                 if not bucket:
                     return
         rest = [(p, v) for p, v in bindings.items() if p != best_position]
-        for i in best_rows:
-            row = rows[i]
+        for row in best_rows:
             if all(row[p] == v for p, v in rest):
                 yield row
 

@@ -768,10 +768,13 @@ class ShardedCoordinationService:
                     ).append(handle)
             for target, group in by_shard.items():
                 engine = self._engines[target]
+                seen: Dict[str, Tuple[str, ...]] = {}
                 with engine.lock:
-                    components = [
-                        engine.component_of(handle.query) for handle in group
-                    ]
+                    for handle in group:  # one read per distinct component
+                        if handle.query not in seen:
+                            component = engine.component_of(handle.query)
+                            seen.update(dict.fromkeys(component, component))
+                components = [seen[handle.query] for handle in group]
                 owed, frozen = _owed_evaluations(group, components)
                 if owed:
                     futures.append(self._post_eval(target, owed, frozen))
@@ -1121,22 +1124,32 @@ class ShardedCoordinationService:
             self._maybe_checkpoint()
             raised = True
             try:
-                target, handle, component = self._route_and_admit(query)
+                target, handle, component = self._route_and_admit(
+                    query, owed_component=True
+                )
                 raised = False
             finally:
                 self._journal_append(("submit", query, raised))
             future = None
-            if handle.outcome is None:  # not settled at admission
+            if component is not None:  # not settled at admission
                 future = self._post_eval(target, (handle,), set(component))
         return handle, future
 
-    def _route_and_admit(self, query: EntangledQuery):
-        """Probe/migrate/place, then admit on the target (no evaluation)."""
+    def _route_and_admit(self, query: EntangledQuery, owed_component: bool = False):
+        """Probe/migrate/place, then admit on the target (no evaluation).
+
+        With ``owed_component``, an arrival that still owes an
+        evaluation also gets its weak component, read in the admission's
+        lock section (a hosted shard answers it from the admit reply);
+        otherwise the component is ``None``.
+        """
         target = self._route(query)
         engine = self._engines[target]
+        component = None
         with engine.lock:
             handle = engine.admit(query)
-            component = engine.component_of(query.name)
+            if owed_component and handle.outcome is None:
+                component = engine.component_of(query.name)
         if self._dispatcher is not None:
             handle._use_dispatcher(self._dispatcher.post)
         cost = evaluation_cost(self.db, query)
@@ -1235,7 +1248,8 @@ class ShardedCoordinationService:
             with engine.lock:
                 mass: Set[str] = set()
                 for name in incident:
-                    mass.update(engine.component_of(name))
+                    if name not in mass:  # one read per distinct component
+                        mass.update(engine.component_of(name))
             weights[index] = len(mass)
         target = min(touched, key=lambda index: (-weights[index], index))
         for index, incident in touched.items():

@@ -283,11 +283,13 @@ class Database:
         never across yields — so a half-consumed (or abandoned)
         iterator cannot block writers, and ``next(it)`` followed by
         ``db.insert(...)`` on one thread stays legal.  The price is
-        per-step granularity: a concurrent insert may land between two
-        steps of the enumeration (storage is append-only, so the
-        iterator itself stays valid — exactly the pre-lock semantics).
-        Prefer the materializing entry points when a consistent
-        snapshot across the whole enumeration matters.
+        per-step granularity: a write may land between two steps of
+        the enumeration.  The iterator stays valid: each index bucket
+        it walks is the list of rows that matched when it was probed,
+        which a later insert may extend and a delete leaves as it was,
+        so every row it yields matched at its probe.  Prefer the
+        materializing entry points when a consistent snapshot across
+        the whole enumeration matters.
         """
         query.validate(self.schema)
 

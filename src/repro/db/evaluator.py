@@ -10,9 +10,10 @@ specs (constant positions, bound slots, newly-bound slots) are
 precomputed — the hot loop does tuple-slot comparisons only, with no
 ``isinstance`` checks and no per-call atom ordering.  Candidate tuples
 are fetched through the storage layer's single-column and composite
-hash indexes, so each probe is one exact-match bucket lookup —
-mirroring (and improving on) what MySQL did for the paper's
-experiments.
+hash indexes, so each probe is one exact-match bucket lookup, and an
+atom whose every position is already fixed is one membership test
+against the relation's row set, with no bucket at all — mirroring
+(and improving on) what MySQL did for the paper's experiments.
 
 Repeated variables inside one atom and across atoms are handled by the
 plan's slot machinery (terms are flat, so no substitution machinery is

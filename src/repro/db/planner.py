@@ -13,7 +13,10 @@ that to *compile time*:
   slots, within-atom duplicate checks).  Execution then works on
   integer slots and position tuples only: no ``isinstance``, no
   per-call sort, and every probe is an exact-match bucket lookup
-  through the storage layer's (composite) hash indexes.
+  through the storage layer's (composite) hash indexes — except a
+  fully bound atom, a *member step*, which is one membership test of
+  its filled-in row against the relation's row set, decided inline
+  (:meth:`CompiledPlan.run`).
 
 * :class:`Planner` caches plans keyed by shape.  Two queries that
   differ only in constants and variable names share a plan, which is
@@ -288,6 +291,16 @@ class CompiledPlan:
         ``solutions(initial=...)`` contract specifies: pre-bound body
         variables become additional fixed probe columns, and unrelated
         pre-bound variables pass through into every yielded assignment.
+
+        A *member step* — every position a constant or a slot bound by
+        an earlier step or by ``initial`` — binds nothing, so it is
+        decided inline: its filled-in row is one
+        :meth:`~repro.db.storage.Relation.contains` test against the
+        row set, with no frame and no index, counted as the one probe
+        (and, on a hit, the one examined tuple) its bucket lookup would
+        be.  Under the ``composite_indexes=False`` ablation a member
+        step of two or more columns keeps the bucket path, because the
+        row set is the full-width index that toggle switches off.
         """
         base = dict(initial) if initial else {}
         slot_vars = query.slot_variables()
@@ -308,19 +321,23 @@ class CompiledPlan:
 
         atoms = query.atoms
         bound_steps = []
+        members: List = []  # per step: (contains, row to fill, fills) or None
         for step in self.steps:
+            relation = relations[step.relation]
             terms = atoms[step.atom_index].terms
-            bound_steps.append(
-                (
-                    relations[step.relation],
-                    tuple((p, terms[p].value) for p in step.const_positions),
-                    step.bound,
-                    step.new,
-                    step.dup,
-                )
-            )
+            consts = tuple((p, terms[p].value) for p in step.const_positions)
+            bound_steps.append((relation, consts, step.bound, step.new, step.dup))
+            member = None
+            if (len(terms) == 1 or relation.composites_enabled) and all(
+                values[slot] is not _UNBOUND for _p, slot in step.new
+            ):
+                key: List = [None] * len(terms)
+                for p, value in consts:
+                    key[p] = value
+                member = (relation.contains, key, step.bound + step.new + step.dup)
+            members.append(member)
 
-        def make_frame(depth: int) -> List:
+        def make_frame(depth: int) -> Tuple:
             relation, consts, bound, new, dup = bound_steps[depth]
             fixed: Dict[int, Hashable] = dict(consts)
             for p, slot in bound:
@@ -339,49 +356,56 @@ class CompiledPlan:
                     checks.append((p, slot))
                 else:
                     fixed[p] = value
-            # Frame: [row iterator, slots to bind, per-row checks, live]
-            return [relation.match(fixed), fresh, checks, False]
+            # Frame: (row iterator, slots to bind, per-row checks, depth)
+            return relation.match(fixed), fresh, checks, depth
 
-        stack: List[List] = [make_frame(0)]
-        while stack:
-            depth = len(stack) - 1
-            frame = stack[-1]
-            rows, fresh, checks, _ = frame
-            if frame[3]:
-                # Undo the previous row's bindings before advancing.
-                for _p, slot in fresh:
-                    values[slot] = _UNBOUND
-                frame[3] = False
-            advanced = False
-            for row in rows:
+        stack: List[Tuple] = []
+        depth = 0  # the next step to decide; -1 once a member test misses
+        while True:
+            # Descend: decide member steps inline, up to the next search
+            # step (which gets a frame) or past the last step (a solution).
+            while 0 <= depth < total:
+                member = members[depth]
+                if member is None:
+                    stack.append(make_frame(depth))
+                    break
+                contains, key, fills = member
+                stats.index_probes += 1
+                for p, slot in fills:
+                    key[p] = values[slot]
+                if not contains(key):
+                    depth = -1
+                    break
                 stats.tuples_examined += 1
-                for p, slot in fresh:
-                    values[slot] = row[p]
-                ok = True
-                for p, slot in checks:
-                    if values[slot] != row[p]:
-                        ok = False
+                depth += 1
+            if depth == total:
+                stats.solutions_found += 1
+                out = dict(base)
+                for slot, variable in enumerate(slot_vars):
+                    out[variable] = values[slot]
+                yield out
+            # Backtrack: advance the innermost frame to its next passing
+            # row (then descend below it), unbinding and popping
+            # exhausted frames.
+            depth = -1
+            while stack and depth < 0:
+                rows, fresh, checks, at = stack[-1]
+                for row in rows:
+                    stats.tuples_examined += 1
+                    for p, slot in fresh:
+                        values[slot] = row[p]
+                    for p, slot in checks:
+                        if values[slot] != row[p]:
+                            break
+                    else:
+                        depth = at + 1
                         break
-                if not ok:
+                else:
                     for _p, slot in fresh:
                         values[slot] = _UNBOUND
-                    continue
-                frame[3] = True
-                if depth + 1 == total:
-                    stats.solutions_found += 1
-                    out = dict(base)
-                    for slot, variable in enumerate(slot_vars):
-                        out[variable] = values[slot]
-                    yield out
-                    # Stay on this frame; the next loop iteration
-                    # undoes the bindings and tries the following row.
-                    advanced = True
-                    break
-                stack.append(make_frame(depth + 1))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
+                    stack.pop()
+            if depth < 0:
+                return
 
     def __repr__(self) -> str:
         inner = " -> ".join(step.relation for step in self.steps)

@@ -5,13 +5,16 @@ query grounding ("is there a tuple matching these constants?") and
 option-list scans ("all distinct values of these attributes").  Both are
 served efficiently by hash indexes built lazily on first use: one per
 probed column, plus **composite** indexes keyed by a position tuple for
-multi-column binding patterns (the evaluator's join probes), so an
-exact-match probe on any binding pattern is a single bucket lookup with
-no residual filtering.
+partial multi-column binding patterns (the evaluator's join probes), so
+an exact-match probe on any binding pattern is a single bucket lookup
+with no residual filtering.  Buckets hold the matching rows themselves,
+in insertion order.
 
 A :class:`Relation` stores tuples in insertion order (a list) alongside a
 set for O(1) duplicate/membership checks, mirroring set semantics of the
-relational model while keeping scans deterministic.
+relational model while keeping scans deterministic.  The row set is also
+the full-width index: a probe that binds every column is one
+:meth:`Relation.contains` test, never a composite index.
 
 Concurrency: relations carry no lock of their own — the
 :class:`~repro.db.Database` facade's reader–writer lock is the
@@ -89,10 +92,10 @@ class Relation:
         self.schema = schema
         self._rows: List[Row] = []
         self._row_set: Set[Row] = set()
-        # position -> value -> list of row indexes
-        self._indexes: Dict[int, Dict[Hashable, List[int]]] = {}
-        # position tuple (sorted, len >= 2) -> value tuple -> row indexes
-        self._composites: Dict[Tuple[int, ...], Dict[Tuple[Hashable, ...], List[int]]] = {}
+        # position -> value -> matching rows, in insertion order
+        self._indexes: Dict[int, Dict[Hashable, List[Row]]] = {}
+        # position tuple (sorted, len >= 2) -> value tuple -> matching rows
+        self._composites: Dict[Tuple[int, ...], Dict[Tuple[Hashable, ...], List[Row]]] = {}
         #: Ablation toggle (see :meth:`set_composite_indexes`): when
         #: ``False``, multi-column probes fall back to a single-column
         #: probe plus residual filtering instead of building composite
@@ -138,16 +141,15 @@ class Relation:
             )
         if row in self._row_set:
             return False
-        index = len(self._rows)
         self._rows.append(row)
         self._row_set.add(row)
         self._log.append(row)
         self.write_epoch += 1
         for position, bucket in self._indexes.items():
-            bucket.setdefault(row[position], []).append(index)
+            bucket.setdefault(row[position], []).append(row)
         for positions, bucket in self._composites.items():
             key = tuple(row[p] for p in positions)
-            bucket.setdefault(key, []).append(index)
+            bucket.setdefault(key, []).append(row)
         return True
 
     def insert_many(self, rows: Iterable[Iterable[Hashable]]) -> int:
@@ -161,10 +163,11 @@ class Relation:
         an idempotent no-op (no epoch bump, no log entry), which is
         what lenient crash-recovery replay relies on.  A successful
         delete logs a :class:`Tombstone`, bumps the epoch, and drops
-        the positional indexes wholesale — row indexes shift when a row
-        leaves the list, and the lazy builds recreate them on the next
-        probe — then compacts the mutation log if tombstone churn has
-        let it outgrow the live set.
+        the indexes wholesale — the lazy builds recreate them on the
+        next probe, while a bucket a reader took before the delete
+        stays a snapshot of the rows that matched then (see
+        :meth:`match`) — then compacts the mutation log if tombstone
+        churn has let it outgrow the live set.
         """
         row = tuple(row)
         if row not in self._row_set:
@@ -229,7 +232,7 @@ class Relation:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _index_for(self, position: int) -> Dict[Hashable, List[int]]:
+    def _index_for(self, position: int) -> Dict[Hashable, List[Row]]:
         """Return (building lazily) the hash index on ``position``.
 
         Safe under concurrent readers (who may race to build the same
@@ -239,14 +242,14 @@ class Relation:
         bucket = self._indexes.get(position)
         if bucket is None:
             bucket = {}
-            for i, row in enumerate(self._rows):
-                bucket.setdefault(row[position], []).append(i)
+            for row in self._rows:
+                bucket.setdefault(row[position], []).append(row)
             self._indexes[position] = bucket
         return bucket
 
     def _composite_index_for(
         self, positions: Tuple[int, ...]
-    ) -> Dict[Tuple[Hashable, ...], List[int]]:
+    ) -> Dict[Tuple[Hashable, ...], List[Row]]:
         """Return (building lazily) the composite index on ``positions``.
 
         ``positions`` must be sorted.  Built on the first probe of that
@@ -260,8 +263,8 @@ class Relation:
         bucket = self._composites.get(positions)
         if bucket is None:
             bucket = {}
-            for i, row in enumerate(self._rows):
-                bucket.setdefault(tuple(row[p] for p in positions), []).append(i)
+            for row in self._rows:
+                bucket.setdefault(tuple(row[p] for p in positions), []).append(row)
             self._composites[positions] = bucket
             if self.stats is not None:
                 self.stats.composite_indexes_built += 1
@@ -288,24 +291,23 @@ class Relation:
         column through the per-column index, several columns through the
         composite index on that position tuple — no residual filtering
         in either case.  With no bindings this is a full scan.  Rows
-        come out in insertion order (buckets store row indexes in
-        insertion order), so consumers see the same sequence a filtered
-        scan would produce.
+        come out in insertion order (buckets store the rows themselves
+        in insertion order), so consumers see the same sequence a
+        filtered scan would produce.  The iterator walks the bucket it
+        probed: later inserts append to that bucket, while a
+        :meth:`delete` drops the indexes and leaves it a snapshot of
+        the rows that matched when it was probed.  A fully bound probe
+        needs no bucket at all: :meth:`contains` answers it from the
+        row set, which is how the planner decides such atoms.
         """
         if not bindings:
             return iter(self._rows)
         stats = self.stats
         if stats is not None:
             stats.index_probes += 1
-        hits = self._hits_for(bindings)
-        if not hits:
-            return iter(())
-        # Lazy map over the index hits: consumers like
-        # ``first_solution`` stop at the first row, so a large
-        # bucket must not be materialized up front.
-        return map(self._rows.__getitem__, hits)
+        return iter(self._hits_for(bindings) or ())
 
-    def _hits_for(self, bindings: Dict[int, Hashable]) -> Optional[List[int]]:
+    def _hits_for(self, bindings: Dict[int, Hashable]) -> Optional[List[Row]]:
         """The index bucket for a non-empty binding pattern (or None)."""
         if len(bindings) == 1:
             ((position, value),) = bindings.items()
@@ -320,8 +322,7 @@ class Relation:
             if not hits:
                 return None
             rest = [(p, bindings[p]) for p in positions[1:]]
-            rows = self._rows
-            out = [i for i in hits if all(rows[i][p] == v for p, v in rest)]
+            out = [row for row in hits if all(row[p] == v for p, v in rest)]
             return out or None
         key = tuple(bindings[p] for p in positions)
         return self._composite_index_for(tuple(positions)).get(key)

@@ -204,6 +204,32 @@ def test_admission_reuses_the_routing_probe_unless_a_migration_intervened(
     _assert_invariants(service)
 
 
+def test_router_reads_each_component_once(monkeypatch):
+    """A batch reads each weak component it touches once, however many
+    of its members share it, and a single arrival settled at admission
+    has its component read not at all."""
+    read = []
+    component_of = CoordinationEngine.component_of
+
+    def counting(engine, name):
+        read.append(name)
+        return component_of(engine, name)
+
+    monkeypatch.setattr(CoordinationEngine, "component_of", counting)
+    db = members_database(size=DB_SIZE, seed=2012)
+    service = ShardedCoordinationService(db, ServiceConfig(shards=1))
+    absent = member_name(99)
+    cycle = [member_name(n) for n in range(3)]
+    service.submit_many(
+        partner_query(name, [cycle[(i + 1) % 3], absent])
+        for i, name in enumerate(cycle)
+    )
+    assert len(read) == 1
+    service.submit(partner_query(member_name(7), [absent]))
+    assert len(read) == 1
+    assert set(service.pending()) == set(cycle) | {member_name(7)}
+
+
 def test_handle_identity_survives_migration():
     db = members_database(size=DB_SIZE, seed=2012)
     service = ShardedCoordinationService(db, ServiceConfig(shards=4))

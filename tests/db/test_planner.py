@@ -167,7 +167,7 @@ class TestExecutionSemantics:
         query = ConjunctiveQuery([Atom("P", [var("x"), var("x")])])
         assert {s[var("x")] for s in db.solutions(query)} == {1, 3}
 
-    def test_repeated_variable_across_atoms_uses_composite_probe(self):
+    def test_repeated_variable_across_atoms_is_a_member_test(self):
         db = Database()
         db.create_relation("E", ["src", "dst"])
         db.insert_many("E", [(i, j) for i in range(8) for j in range(8)])
@@ -176,11 +176,33 @@ class TestExecutionSemantics:
         before = db.stats.snapshot()
         assert len(list(db.solutions(query))) == 8
         delta = db.stats.delta(before)
-        assert delta.composite_indexes_built == 1
+        # The second atom is fully bound: each candidate is one row-set
+        # membership test, so no composite index is built for it.
+        assert delta.composite_indexes_built == 0
         assert delta.index_probes >= 8
-        # The second atom examines exactly its 1-row buckets, not the
-        # 8-row single-column candidates the residual filter would scan.
+        # Each test counts the one tuple a 1-row bucket would hold, not
+        # the 8-row single-column candidates the residual filter scans.
         assert delta.tuples_examined == 16
+
+    def test_partially_bound_multi_column_probe_builds_one_composite(self):
+        db = Database()
+        db.create_relation("T", ["a", "b", "c"])
+        db.insert_many("T", [(i, j, k) for i in range(4) for j in range(4)
+                             for k in range(2)])
+        db.create_relation("S", ["a", "b"])
+        db.insert_many("S", [(1, 2), (3, 0)])
+        x, y, z = var("x"), var("y"), var("z")
+        query = ConjunctiveQuery([Atom("S", [x, y]), Atom("T", [x, y, z])])
+        before = db.stats.snapshot()
+        assert [(s[x], s[y], s[z]) for s in db.solutions(query)] == [
+            (1, 2, 0), (1, 2, 1), (3, 0, 0), (3, 0, 1)
+        ]
+        delta = db.stats.delta(before)
+        # S is scanned; T binds a and b but not c, so each of its two
+        # probes is a lookup in one composite index on (a, b).
+        assert delta.composite_indexes_built == 1
+        assert delta.index_probes == 2
+        assert delta.tuples_examined == 6
 
     def test_solutions_match_order_of_insertion(self):
         db = _db()

@@ -8,7 +8,11 @@ compiled-plan evaluator and through a naive scan-and-filter join that
 uses no indexes, no plan cache and no join reordering.  The solution
 *sets* must agree — under initial bindings, and across interleaved
 inserts that force the plan cache through its revalidate/recompile
-paths.
+paths.  Two more properties pin the row-set member test of fully bound
+atoms: it must enumerate and count exactly like the bucket path that
+``composite_indexes=False`` keeps, and a delete between the steps of a
+live ``Database.solutions`` iterator must never make it yield a
+non-solution.
 """
 
 from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
@@ -190,3 +194,41 @@ def test_independent_instances_enumerate_identically(data, query):
         sorted(s.items(), key=lambda kv: str(kv[0]))
         for s in fresh.solutions(query)
     ]
+
+
+def _run_counted(db: Database, query, initial) -> Tuple:
+    before = db.stats.snapshot()
+    with db.rw.read():
+        got = list(db._evaluator.solutions(query, initial=initial))
+    delta = db.stats.delta(before)
+    return got, delta.tuples_examined, delta.index_probes, delta.solutions_found
+
+
+@given(_relations, _queries, _initials)
+@settings(max_examples=300, deadline=None)
+def test_member_tests_count_like_the_bucket_path(data, query, initial):
+    """With composite indexes off, a fully bound atom of two or more
+    columns is a single-column probe plus residual filter, as before
+    member tests existed: both copies must yield the same solutions in
+    the same order and count the same work."""
+    members = _build_db(data)
+    buckets = _build_db(data)
+    buckets.configure(composite_indexes=False)
+    assert _run_counted(members, query, initial) == _run_counted(
+        buckets, query, initial
+    )
+
+
+@given(_relations, _queries, st.data())
+@settings(max_examples=150, deadline=None)
+def test_deletes_between_steps_yield_only_solutions(data, query, draw):
+    """Consume ``db.solutions`` one step at a time, deleting a random row
+    between steps: every yielded assignment must be a solution over the
+    data as it stood before the deletes."""
+    db = _build_db(data)
+    expected = _scan_filter_solutions(db, query)
+    rows = sorted((name, row) for name in ("A", "B", "C") for row in data[name])
+    for solution in db.solutions(query):
+        assert frozenset(solution.items()) in expected
+        if rows:
+            db.delete(*rows.pop(draw.draw(st.integers(0, len(rows) - 1))))

@@ -2,8 +2,19 @@
 
 import pytest
 
-from repro.db import Relation, RelationSchema
+from repro.db import ConjunctiveQuery, Database, Relation, RelationSchema
 from repro.errors import ArityError
+from repro.logic import Atom, var
+
+
+X = var("x")
+
+
+def _cities(*rows) -> Database:
+    db = Database()
+    db.create_relation("F", ["x", "city"])
+    db.insert_many("F", rows)
+    return db
 
 
 @pytest.fixture
@@ -166,6 +177,23 @@ class TestDelete:
         flights.delete((1, "Paris"))
         assert list(flights.match({1: "Paris"})) == [(2, "Paris")]
         assert list(flights.match({0: 1})) == []
+
+    def test_suspended_iterator_keeps_its_bucket_across_a_delete(self):
+        # A bucket probed before a delete is a snapshot of the rows that
+        # matched then: the delete shifts the row list, not the bucket.
+        db = _cities((1, "Paris"), (2, "Rome"), (3, "Paris"), (4, "Oslo"),
+                     (5, "Oslo"))
+        solutions = db.solutions(ConjunctiveQuery([Atom("F", [X, "Paris"])]))
+        assert next(solutions)[X] == 1
+        db.delete("F", (1, "Paris"))
+        assert [s[X] for s in solutions] == [3]
+
+    def test_delete_behind_a_suspended_iterator_does_not_raise(self):
+        db = _cities((1, "Paris"), (2, "Rome"), (3, "Paris"), (4, "Paris"))
+        solutions = db.solutions(ConjunctiveQuery([Atom("F", [X, "Paris"])]))
+        assert next(solutions)[X] == 1
+        db.delete("F", (2, "Rome"))
+        assert [s[X] for s in solutions] == [3, 4]
 
     def test_tombstone_appears_in_row_tail(self, flights):
         from repro.db.storage import Tombstone
